@@ -1,24 +1,33 @@
 """Exhaustive basis-tuple verification of the algebra identities.
 
 Every checker evaluates LHS - RHS of one identity, transcribed exactly as
-displayed (no algebraic pre-simplification), on every basis index tuple in
-lexicographic order over the identity's quantifier order.  Both sides of
+displayed (no algebraic pre-simplification), over basis index tuples in
+lexicographic order of the identity's quantifier order.  Both sides of
 every identity are multilinear in each quantified element, so verification
 on basis tuples is equivalent to verification on all of L.  A failure is
-reported as the lexicographically first failing tuple together with its
-nonzero residual vector; this is deterministic regardless of how the tuple
-range is partitioned across workers.
+reported as the lexicographically first failing tuple of the full index
+cube together with its nonzero residual vector.
+
+The quantifier tuple splits into blocks (the y's and the x's of NL, say),
+and every residual is alternating in each skew block.  That follows from
+the skew symmetry of the bracket alone, so it holds for any product and
+any linear map D.  A tuple with a repeated index inside a skew block
+therefore has residual zero, and sorting a skew block only flips the sign
+of the residual while never moving the tuple later in lex order.  So the
+first failing tuple of the full cube is the first failing *canonical*
+tuple, one whose skew blocks are strictly increasing, and the single scan
+engine visits only those.  ``tuples_checked`` keeps the full-cube count
+all the same (see ``check_identity``).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 from itertools import product as iproduct
 from typing import Callable, Iterable
 
@@ -90,7 +99,8 @@ class CheckReport:
     is the lexicographically first failing index tuple and ``residual`` its
     nonzero LHS - RHS value.  On a failure ``tuples_checked`` is the rank of
     the counterexample in enumeration order plus one, which is what a
-    sequential early-exit scan visits; on a pass it is the full tuple count.
+    sequential early-exit scan of the full cube visits; on a pass it is the
+    full tuple count.  DER_BRK enumerates strictly increasing tuples only.
     ``elapsed`` is wall time in seconds and is excluded from equality.
     """
 
@@ -284,169 +294,6 @@ def _res_assoc_sample(p, b, D, e):
     return multiply(p, multiply(p, x, y), z) - multiply(p, x, multiply(p, y, z))
 
 
-# ---------------------------------------------------------------------------
-# Identity table.  ``blocks`` describes the quantifier tuple as (length, skew)
-# runs, given the bracket arity n; skew runs admit symmetry pruning.
-
-
-@dataclass(frozen=True)
-class _IdentityDef:
-    needs_product: bool
-    needs_bracket: bool
-    needs_derivation: bool
-    blocks: Callable[[int], tuple[tuple[int, bool], ...]] | None
-    residual: Callable
-    domain: str = "blocks"  # "blocks" | "increasing" | "comm" | "assoc"
-    sample_count: Callable[[int], int] | None = None
-
-
-_DEFS: dict[IdentityId, _IdentityDef] = {
-    IdentityId.NL: _IdentityDef(
-        False, True, False, lambda n: ((n, True), (n - 1, True)), _res_nl
-    ),
-    IdentityId.TP: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (n, True)), _res_tp
-    ),
-    IdentityId.NP1: _IdentityDef(
-        True, True, False, lambda n: ((n + 1, True),), _res_np1
-    ),
-    IdentityId.NP2: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2
-    ),
-    IdentityId.NP3: _IdentityDef(
-        True, True, False, lambda n: ((n - 1, True), (n + 1, True)), _res_np3
-    ),
-    IdentityId.NP4: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (1, False), (n, True)), _res_np4
-    ),
-    IdentityId.STRONG: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
-    ),
-    IdentityId.SCALE: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
-    ),
-    IdentityId.DER_MUL: _IdentityDef(
-        True, False, True, lambda n: ((1, False), (1, False)), _res_der_mul
-    ),
-    IdentityId.DER_BRK: _IdentityDef(
-        False, True, True, None, _res_der_brk, domain="increasing",
-        sample_count=lambda n: n,
-    ),
-    IdentityId.LEM1: _IdentityDef(
-        True, True, True, lambda n: ((n + 1, True),), _res_lem1
-    ),
-    IdentityId.LEM2: _IdentityDef(
-        True, True, True, lambda n: ((n + 1, True),), _res_lem2
-    ),
-    IdentityId.COMM: _IdentityDef(
-        True, False, False, None, _res_comm_sample, domain="comm",
-        sample_count=lambda n: 2,
-    ),
-    IdentityId.ASSOC: _IdentityDef(
-        True, False, False, None, _res_assoc_sample, domain="assoc",
-        sample_count=lambda n: 3,
-    ),
-}
-
-_PARALLEL_MIN = 64  # below this tuple count a thread pool is pure overhead
-
-
-# ---------------------------------------------------------------------------
-# Scanning machinery.
-
-
-def _scan_chunk(first_vals, d, length, eval_fn):
-    for v in first_vals:
-        for rest in iproduct(range(d), repeat=length - 1):
-            idx = (v, *rest)
-            res = eval_fn(idx)
-            if res is not None and not res.is_zero():
-                return idx, res
-    return None
-
-
-def _lex_rank(idx: tuple[int, ...], d: int) -> int:
-    rank = 0
-    for v in idx:
-        rank = rank * d + v
-    return rank
-
-
-def _scan_cube(d: int, length: int, eval_fn, workers: int):
-    """Scan all d**length index tuples in lex order for a nonzero residual."""
-    total = d**length
-    if workers > 1 and total >= _PARALLEL_MIN and d > 1:
-        nchunks = min(workers, d)
-        bounds = [d * i // nchunks for i in range(nchunks + 1)]
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(nchunks)]
-        with ThreadPoolExecutor(max_workers=nchunks) as pool:
-            results = list(pool.map(lambda c: _scan_chunk(c, d, length, eval_fn), chunks))
-        failures = [r for r in results if r is not None]
-        if not failures:
-            return "pass", total, None, None
-        # Chunks are contiguous in the first coordinate, so the minimum of the
-        # per-chunk first failures is the global lexicographic first.
-        idx, res = min(failures, key=lambda fr: fr[0])
-        return "fail", _lex_rank(idx, d) + 1, idx, res
-    count = 0
-    for idx in iproduct(range(d), repeat=length):
-        res = eval_fn(idx)
-        count += 1
-        if res is not None and not res.is_zero():
-            return "fail", count, idx, res
-    return "pass", total, None, None
-
-
-def _pruned_tuples(d: int, blocks) -> Iterable[tuple[int, ...]]:
-    # Skew blocks are restricted to non-decreasing index runs; the cross
-    # product of lex-ordered block iterators is itself lex-ordered.
-    parts = []
-    for length, skew in blocks:
-        if skew:
-            parts.append(list(combinations_with_replacement(range(d), length)))
-        else:
-            parts.append(list(iproduct(range(d), repeat=length)))
-    for combo in iproduct(*parts):
-        yield tuple(chain.from_iterable(combo))
-
-
-def _scan_pruned(d: int, blocks, eval_fn):
-    count = 0
-    for idx in _pruned_tuples(d, blocks):
-        res = eval_fn(idx)
-        count += 1
-        if res is not None and not res.is_zero():
-            return "fail", count, idx, res
-    return "pass", count, None, None
-
-
-def _scan_list(domain: list[tuple[int, ...]], eval_fn, workers: int):
-    """Scan an explicit ordered tuple list (increasing-tuple domains)."""
-    if workers > 1 and len(domain) >= _PARALLEL_MIN:
-        nchunks = min(workers, len(domain))
-        step = -(-len(domain) // nchunks)
-        chunks = [domain[i : i + step] for i in range(0, len(domain), step)]
-
-        def scan(chunk):
-            for idx in chunk:
-                res = eval_fn(idx)
-                if res is not None and not res.is_zero():
-                    return idx, res
-            return None
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(scan, chunks))
-        failures = [r for r in results if r is not None]
-        if not failures:
-            return "pass", len(domain), None, None
-        idx, res = min(failures, key=lambda fr: fr[0])
-        return "fail", domain.index(idx) + 1, idx, res
-    for pos, idx in enumerate(domain):
-        res = eval_fn(idx)
-        if res is not None and not res.is_zero():
-            return "fail", pos + 1, idx, res
-    return "pass", len(domain), None, None
-
 
 def _eval_comm(p: ProductTensor):
     c = p.c
@@ -483,7 +330,91 @@ def _eval_assoc(p: ProductTensor):
     return ev
 
 
-def _element_eval(definition: _IdentityDef, p, b, D, d: int):
+# ---------------------------------------------------------------------------
+# Identity table.  ``blocks`` describes the quantifier tuple as (length, skew)
+# runs, given the bracket arity n.  Each residual is alternating in every
+# skew run, by the skew symmetry of the bracket alone.
+
+
+@dataclass(frozen=True)
+class _IdentityDef:
+    needs_product: bool
+    needs_bracket: bool
+    needs_derivation: bool
+    blocks: Callable[[int], tuple[tuple[int, bool], ...]]
+    residual: Callable
+    # COMM and ASSOC scan coordinate tuples (i, j, k) / (i, j, l, k) of the
+    # product tensor with these kernels; ``residual`` is their element form,
+    # on ``sample_count`` elements, for sampling.
+    kernel: Callable[[ProductTensor], Callable] | None = None
+    sample_count: int | None = None
+    # DER_BRK is defined on strictly increasing tuples and counts only those.
+    increasing_only: bool = False
+
+
+_DEFS: dict[IdentityId, _IdentityDef] = {
+    IdentityId.NL: _IdentityDef(
+        False, True, False, lambda n: ((n, True), (n - 1, True)), _res_nl
+    ),
+    IdentityId.TP: _IdentityDef(
+        True, True, False, lambda n: ((1, False), (n, True)), _res_tp
+    ),
+    IdentityId.NP1: _IdentityDef(
+        True, True, False, lambda n: ((n + 1, True),), _res_np1
+    ),
+    IdentityId.NP2: _IdentityDef(
+        True, True, False, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2
+    ),
+    IdentityId.NP3: _IdentityDef(
+        True, True, False, lambda n: ((n - 1, True), (n + 1, True)), _res_np3
+    ),
+    IdentityId.NP4: _IdentityDef(
+        True, True, False, lambda n: ((1, False), (1, False), (n, True)), _res_np4
+    ),
+    IdentityId.STRONG: _IdentityDef(
+        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
+    ),
+    IdentityId.SCALE: _IdentityDef(
+        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
+    ),
+    IdentityId.DER_MUL: _IdentityDef(
+        True, False, True, lambda n: ((1, False), (1, False)), _res_der_mul
+    ),
+    IdentityId.DER_BRK: _IdentityDef(
+        False, True, True, lambda n: ((n, True),), _res_der_brk, increasing_only=True
+    ),
+    IdentityId.LEM1: _IdentityDef(
+        True, True, True, lambda n: ((n + 1, True),), _res_lem1
+    ),
+    IdentityId.LEM2: _IdentityDef(
+        True, True, True, lambda n: ((n + 1, True),), _res_lem2
+    ),
+    IdentityId.COMM: _IdentityDef(
+        True, False, False, lambda n: ((3, False),), _res_comm_sample,
+        kernel=_eval_comm, sample_count=2,
+    ),
+    IdentityId.ASSOC: _IdentityDef(
+        True, False, False, lambda n: ((4, False),), _res_assoc_sample,
+        kernel=_eval_assoc, sample_count=3,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# The scan engine.
+
+
+def _lex_rank(idx: tuple[int, ...], d: int) -> int:
+    rank = 0
+    for v in idx:
+        rank = rank * d + v
+    return rank
+
+
+def _evaluator(definition: _IdentityDef, p, b, D, d: int):
+    """The residual of one identity as a function of a basis index tuple."""
+    if definition.kernel is not None:
+        return definition.kernel(p)
     basis = basis_vectors(d)
     residual = definition.residual
 
@@ -493,21 +424,42 @@ def _element_eval(definition: _IdentityDef, p, b, D, d: int):
     return ev
 
 
+def _scan(d: int, blocks, eval_fn):
+    """Walk the canonical tuples in lex order up to the first nonzero residual.
+
+    A skew block runs over strictly increasing index runs and a plain block
+    over all of them; the product of lex-ordered block iterators is itself
+    lex-ordered.  Returns (tuples visited, first failing tuple, residual),
+    the last two None on a pass.
+    """
+    parts = [
+        combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
+        for size, skew in blocks
+    ]
+    visited = 0
+    for combo in iproduct(*parts):
+        idx = tuple(chain.from_iterable(combo))
+        visited += 1
+        res = eval_fn(idx)
+        if res is not None and not res.is_zero():
+            return visited, idx, res
+    return visited, None, None
+
+
 def check_identity(
     identity: IdentityId,
     product: ProductTensor | None = None,
     bracket: SkewBracket | None = None,
     derivation: DerivationMatrix | None = None,
-    *,
-    workers: int = 1,
-    prune: bool = False,
 ) -> CheckReport:
     """Verify one identity exhaustively; the single entry point all checkers share.
 
-    ``workers`` > 1 partitions the tuple range across threads; the merged
-    report is identical to the sequential one.  ``prune`` restricts skew
-    argument blocks to non-decreasing tuples (a fast path that cannot change
-    the verdict; pruned runs are always sequential).
+    The scan visits only the canonical tuples, whose skew blocks are strictly
+    increasing (see the module docstring), yet the report is the one a full
+    sequential scan of all d**length tuples gives: ``tuples_checked`` is
+    d**length on a pass and the lex rank of the counterexample plus one on a
+    failure.  DER_BRK counts strictly increasing tuples instead: all of them
+    on a pass, the counterexample's position among them on a failure.
     """
     definition = _DEFS[identity]
     if definition.needs_product and product is None:
@@ -528,26 +480,19 @@ def check_identity(
     if len(dims) != 1:
         raise InputError(f"{identity.name}: component dimensions disagree: {sorted(dims)}")
     d = dims.pop()
+    blocks = definition.blocks(bracket.arity if bracket is not None else 0)
 
     start = time.perf_counter()
-    if definition.domain == "comm":
-        status, checked, ce, res = _scan_cube(d, 3, _eval_comm(product), workers)
-    elif definition.domain == "assoc":
-        status, checked, ce, res = _scan_cube(d, 4, _eval_assoc(product), workers)
-    elif definition.domain == "increasing":
-        ev = _element_eval(definition, product, bracket, derivation, d)
-        domain = list(combinations(range(d), bracket.arity))
-        status, checked, ce, res = _scan_list(domain, ev, workers)
-    else:
-        n = bracket.arity if bracket is not None else 0
-        blocks = definition.blocks(n)
-        length = sum(size for size, _ in blocks)
-        ev = _element_eval(definition, product, bracket, derivation, d)
-        if prune:
-            status, checked, ce, res = _scan_pruned(d, blocks, ev)
-        else:
-            status, checked, ce, res = _scan_cube(d, length, ev, workers)
+    ev = _evaluator(definition, product, bracket, derivation, d)
+    visited, ce, res = _scan(d, blocks, ev)
     elapsed = time.perf_counter() - start
+    if definition.increasing_only:
+        checked = visited
+    elif ce is None:
+        checked = d ** sum(size for size, _ in blocks)
+    else:
+        checked = _lex_rank(ce, d) + 1
+    status = "pass" if ce is None else "fail"
     return CheckReport(identity, status, checked, ce, res, elapsed)
 
 
@@ -555,28 +500,22 @@ def check_identity(
 # Named checkers.
 
 
-def check_commutative_associative(
-    product: ProductTensor, *, workers: int = 1
-) -> tuple[CheckReport, CheckReport]:
+def check_commutative_associative(product: ProductTensor) -> tuple[CheckReport, CheckReport]:
     """COMM over all (i, j, k) and ASSOC over all (i, j, l, k)."""
     return (
-        check_identity(IdentityId.COMM, product=product, workers=workers),
-        check_identity(IdentityId.ASSOC, product=product, workers=workers),
+        check_identity(IdentityId.COMM, product=product),
+        check_identity(IdentityId.ASSOC, product=product),
     )
 
 
-def check_filippov(bracket: SkewBracket, *, workers: int = 1, prune: bool = False) -> CheckReport:
+def check_filippov(bracket: SkewBracket) -> CheckReport:
     """The fundamental identity of the n-ary bracket, over d^(2n-1) tuples."""
-    return check_identity(IdentityId.NL, bracket=bracket, workers=workers, prune=prune)
+    return check_identity(IdentityId.NL, bracket=bracket)
 
 
-def check_transposed_leibniz(
-    product: ProductTensor, bracket: SkewBracket, *, workers: int = 1, prune: bool = False
-) -> CheckReport:
+def check_transposed_leibniz(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
     """n*h*[x_1..x_n] = sum_i [x_1.., h*x_i, ..x_n], over d^(n+1) tuples."""
-    return check_identity(
-        IdentityId.TP, product=product, bracket=bracket, workers=workers, prune=prune
-    )
+    return check_identity(IdentityId.TP, product=product, bracket=bracket)
 
 
 _NP_IDS = (IdentityId.NP1, IdentityId.NP2, IdentityId.NP3, IdentityId.NP4)
@@ -584,45 +523,26 @@ _LEM_IDS = (IdentityId.LEM1, IdentityId.LEM2)
 
 
 def check_np_identity(
-    product: ProductTensor,
-    bracket: SkewBracket,
-    which: IdentityId,
-    *,
-    workers: int = 1,
-    prune: bool = False,
+    product: ProductTensor, bracket: SkewBracket, which: IdentityId
 ) -> CheckReport:
     """One of the four derived identities NP1..NP4."""
     if which not in _NP_IDS:
         raise InputError(f"expected one of NP1..NP4, got {which}")
-    return check_identity(
-        which, product=product, bracket=bracket, workers=workers, prune=prune
-    )
+    return check_identity(which, product=product, bracket=bracket)
 
 
-def check_strong(
-    product: ProductTensor, bracket: SkewBracket, *, workers: int = 1, prune: bool = False
-) -> CheckReport:
+def check_strong(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
     """The strong compatibility condition, over d^(n+2) tuples."""
-    return check_identity(
-        IdentityId.STRONG, product=product, bracket=bracket, workers=workers, prune=prune
-    )
+    return check_identity(IdentityId.STRONG, product=product, bracket=bracket)
 
 
-def check_scale_identity(
-    product: ProductTensor, bracket: SkewBracket, *, workers: int = 1, prune: bool = False
-) -> CheckReport:
+def check_scale_identity(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
     """The scaling identity, over d^(n+2) tuples."""
-    return check_identity(
-        IdentityId.SCALE, product=product, bracket=bracket, workers=workers, prune=prune
-    )
+    return check_identity(IdentityId.SCALE, product=product, bracket=bracket)
 
 
 def check_derivation(
-    product: ProductTensor,
-    bracket: SkewBracket,
-    derivation: DerivationMatrix,
-    *,
-    workers: int = 1,
+    product: ProductTensor, bracket: SkewBracket, derivation: DerivationMatrix
 ) -> tuple[CheckReport, CheckReport]:
     """Leibniz over the product (all d^2 pairs) and over the bracket.
 
@@ -630,8 +550,8 @@ def check_derivation(
     multilinear and skew under argument exchange, so those span all cases.
     """
     return (
-        check_identity(IdentityId.DER_MUL, product=product, derivation=derivation, workers=workers),
-        check_identity(IdentityId.DER_BRK, bracket=bracket, derivation=derivation, workers=workers),
+        check_identity(IdentityId.DER_MUL, product=product, derivation=derivation),
+        check_identity(IdentityId.DER_BRK, bracket=bracket, derivation=derivation),
     )
 
 
@@ -640,17 +560,11 @@ def check_lemma_identity(
     bracket: SkewBracket,
     derivation: DerivationMatrix,
     which: IdentityId,
-    *,
-    workers: int = 1,
-    prune: bool = False,
 ) -> CheckReport:
     """One of the two derivation-sum identities LEM1 / LEM2, over d^(n+1) tuples."""
     if which not in _LEM_IDS:
         raise InputError(f"expected LEM1 or LEM2, got {which}")
-    return check_identity(
-        which, product=product, bracket=bracket, derivation=derivation,
-        workers=workers, prune=prune,
-    )
+    return check_identity(which, product=product, bracket=bracket, derivation=derivation)
 
 
 def run_suite(
@@ -658,9 +572,6 @@ def run_suite(
     bracket_name: str,
     derivation_name: str | None = None,
     ids: Iterable[IdentityId] | None = None,
-    *,
-    workers: int = 1,
-    prune: bool = False,
 ) -> list[CheckReport]:
     """Run a set of identity checks against one named bracket (and derivation).
 
@@ -684,14 +595,7 @@ def run_suite(
                 raise InputError(f"{i.name} requires a derivation name")
         wanted = [i for i in IdentityId if i in ids]
     return [
-        check_identity(
-            i,
-            product=system.product,
-            bracket=bracket,
-            derivation=derivation,
-            workers=workers,
-            prune=prune,
-        )
+        check_identity(i, product=system.product, bracket=bracket, derivation=derivation)
         for i in wanted
     ]
 
@@ -731,7 +635,7 @@ def sampled_verdict(
     d = product.dim if product is not None else bracket.dim
     n = bracket.arity if bracket is not None else 0
     if definition.sample_count is not None:
-        count = definition.sample_count(n)
+        count = definition.sample_count
     else:
         count = sum(size for size, _ in definition.blocks(n))
     rng = random.Random(seed)

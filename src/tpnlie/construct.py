@@ -118,7 +118,6 @@ def build_tower(
     derivation_names: list[str],
     *,
     verify: bool = True,
-    workers: int = 1,
 ) -> list[TowerStep]:
     """Iterate the extension, one named derivation per step.
 
@@ -136,24 +135,12 @@ def build_tower(
         reports: list[CheckReport] = []
         if verify:
             for ident in _TOWER_SUITE:
-                reports.append(
-                    check_identity(
-                        ident, product=system.product, bracket=current, workers=workers
-                    )
-                )
+                reports.append(check_identity(ident, product=system.product, bracket=current))
             if k + 1 < len(maps):
                 nxt = maps[k + 1]
                 reports.append(
-                    check_identity(
-                        IdentityId.DER_MUL, product=system.product, derivation=nxt,
-                        workers=workers,
-                    )
+                    check_identity(IdentityId.DER_MUL, product=system.product, derivation=nxt)
                 )
-                reports.append(
-                    check_identity(
-                        IdentityId.DER_BRK, bracket=current, derivation=nxt,
-                        workers=workers,
-                    )
-                )
+                reports.append(check_identity(IdentityId.DER_BRK, bracket=current, derivation=nxt))
         steps.append(TowerStep(current, tuple(reports)))
     return steps

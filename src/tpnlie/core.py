@@ -264,8 +264,10 @@ class SkewBracket:
             key = tuple(key)
             if len(key) != n:
                 raise InputError(f"bracket key {key} must have {n} indices")
-            if any(not isinstance(i, int) or not 0 <= i < d for i in key):
-                raise InputError(f"bracket key {key} has an index outside 0..{d - 1}")
+            if any(
+                not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < d for i in key
+            ):
+                raise InputError(f"bracket key {key} needs integer indices in 0..{d - 1}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise InputError(f"bracket key {key}: indices not strictly increasing")
             if not isinstance(value, ElementVector):

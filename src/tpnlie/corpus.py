@@ -314,6 +314,9 @@ def hunt_counterexample(
             "hunting needs arity >= 3: at arity 2 the strong condition follows "
             "from the transposed Leibniz identity, so no candidate can exist"
         )
+    for name, value in (("dim", dim), ("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"hunt {name} must be an integer, got {value!r}")
     if trials < 0:
         raise InputError(f"trial budget must be nonnegative, got {trials}")
     for trial in range(trials):

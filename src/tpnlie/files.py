@@ -198,8 +198,18 @@ def load_system(path) -> AlgebraSystem:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from None
+
+    def unique_keys(pairs):
+        # json.loads would silently keep the last of two equal keys, e.g.
+        # two brackets of the same name.
+        obj = {}
+        for key, value in pairs:
+            _require(key not in obj, f"{p}: duplicate key {key!r} in a JSON object")
+            obj[key] = value
+        return obj
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     return system_from_dict(data, source=str(p))

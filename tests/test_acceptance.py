@@ -290,19 +290,18 @@ def test_determinism_and_round_trip(tmp_path, w4, tp22):
         save_system(system, path)
         assert load_system(path) == system
 
-    # reports are identical across repeated and parallel runs, pass or fail
+    # reports are identical across repeated runs, pass or fail
     entries = dict(w4.brackets["b1"].entries)
     entries[(1, 2)] = ElementVector.basis(4, 2)
     both = w4.with_bracket("bad", SkewBracket(4, 2, entries))
     for bracket_name in ("b1", "bad"):
         first = run_suite(both, bracket_name, "euler")
         repeat = run_suite(both, bracket_name, "euler")
-        parallel = run_suite(both, bracket_name, "euler", workers=3)
-        assert first == repeat == parallel
-        assert [report_to_dict(r) for r in first] == [report_to_dict(r) for r in parallel]
+        assert first == repeat
+        assert [report_to_dict(r) for r in first] == [report_to_dict(r) for r in repeat]
     _announce(
         "determinism and round trip",
-        "byte-stable generation, exact round trips, parallel == sequential reports",
+        "byte-stable generation, exact round trips, repeated runs give identical reports",
     )
 
 

@@ -1,18 +1,25 @@
-"""Identity checkers: verdicts, counterexamples, determinism, pruning."""
+"""Identity checkers: verdicts, counterexamples, determinism, the scan engine."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnlie import (
+    CheckReport,
+    DerivationMatrix,
     ElementVector,
     IdentityId,
     InputError,
     ProductTensor,
     SkewBracket,
+    binary_sweep_corpus,
     bracket_apply,
     check_commutative_associative,
     check_derivation,
@@ -29,7 +36,9 @@ from tpnlie import (
     random_system,
     run_suite,
     sampled_verdict,
+    ternary_sweep_corpus,
 )
+from tpnlie import axioms
 
 I = IdentityId
 
@@ -355,7 +364,7 @@ def test_run_suite_without_derivation_skips_derivation_ids(w4):
 
 
 # ---------------------------------------------------------------------------
-# determinism, parallelism, pruning
+# determinism, and the canonical-orbit scan against the full-cube oracle
 
 
 def test_reports_identical_across_repeated_runs(w4, corrupted_w4):
@@ -366,45 +375,94 @@ def test_reports_identical_across_repeated_runs(w4, corrupted_w4):
         assert first == second  # elapsed excluded from equality
 
 
-def test_parallel_scan_matches_sequential(w4, corrupted_w4):
-    for name in ("b1", "bad"):
-        sequential = run_suite(corrupted_w4, name, "euler")
-        parallel = run_suite(corrupted_w4, name, "euler", workers=4)
-        assert sequential == parallel
+def full_cube_report(identity, product=None, bracket=None, derivation=None):
+    """Reference oracle: scan all d**length tuples in lex order, using no symmetry.
+
+    It shares only the per-tuple residual with the engine.  DER_BRK reports
+    on strictly increasing tuples, so its failing tuple is looked up among
+    those, which also checks that the first failure of the cube is one.
+    """
+    definition = axioms._DEFS[identity]
+    d = next(obj.dim for obj in (product, bracket, derivation) if obj is not None)
+    n = bracket.arity if bracket is not None else 0
+    length = sum(size for size, _ in definition.blocks(n))
+    ev = axioms._evaluator(definition, product, bracket, derivation, d)
+    for rank, idx in enumerate(iproduct(range(d), repeat=length)):
+        res = ev(idx)
+        if res is not None and not res.is_zero():
+            if definition.increasing_only:
+                checked = list(combinations(range(d), length)).index(idx) + 1
+            else:
+                checked = rank + 1
+            return CheckReport(identity, "fail", checked, idx, res)
+    total = comb(d, length) if definition.increasing_only else d**length
+    return CheckReport(identity, "pass", total, None, None)
 
 
-def test_pruned_verdicts_match_full_enumeration(w4, corrupted_w4):
-    ids = [i for i in I if i not in (I.COMM, I.ASSOC)]
-    for name in ("b1", "bad"):
-        full = run_suite(corrupted_w4, name, "euler", ids=ids)
-        pruned = run_suite(corrupted_w4, name, "euler", ids=ids, prune=True)
-        for f, q in zip(full, pruned):
-            assert f.identity == q.identity
-            assert f.status == q.status
+def _compare_with_oracle(product, bracket, derivation):
+    """Whole-report equality for every applicable identity; returns the reports."""
+    reports = []
+    for ident in I:
+        if derivation is None and axioms._DEFS[ident].needs_derivation:
+            continue
+        engine = check_identity(ident, product=product, bracket=bracket, derivation=derivation)
+        oracle = full_cube_report(ident, product, bracket, derivation)
+        assert engine == oracle, ident.name
+        reports.append(engine)
+    return reports
 
 
-def test_pruning_scans_fewer_tuples(w4):
-    full = check_filippov(w4.brackets["b1"])
-    pruned = check_filippov(w4.brackets["b1"], prune=True)
-    assert pruned.passed
-    assert pruned.tuples_checked < full.tuples_checked
-
-
-def test_pruned_verdicts_match_across_corpus():
-    # the symmetry fast path never changes a verdict on corpus instances,
-    # arity 2 and 3 alike, passing or failing
-    from tpnlie import binary_sweep_corpus, ternary_sweep_corpus
-
+def test_canonical_scan_matches_full_cube_on_corpus(corrupted_w4):
     instances = binary_sweep_corpus(5, 10) + ternary_sweep_corpus(5, 4)
-    ids = [i for i in I if i not in (I.COMM, I.ASSOC, I.DER_MUL, I.DER_BRK)]
+    reports = []
     for inst in instances:
-        p, b, d = inst.system.product, inst.bracket, inst.derivation
-        for ident in ids:
-            if ident in (I.LEM1, I.LEM2) and d is None:
-                continue
-            full = check_identity(ident, product=p, bracket=b, derivation=d)
-            pruned = check_identity(ident, product=p, bracket=b, derivation=d, prune=True)
-            assert full.status == pruned.status, (inst.label, ident.name)
+        reports += _compare_with_oracle(inst.system.product, inst.bracket, inst.derivation)
+    bad = corrupted_w4.brackets["bad"]
+    reports += _compare_with_oracle(corrupted_w4.product, bad, corrupted_w4.derivation("euler"))
+    assert sum(not r.passed for r in reports) >= 5
+
+
+def test_canonical_scan_matches_full_cube_on_failing_random_draws():
+    failing = 0
+    for arity, dim in ((2, 3), (2, 4), (3, 4), (3, 5)):
+        for seed in range(3):
+            density = (Fraction(1, 4), Fraction(1, 2), 1)[seed]
+            system = random_system(dim, arity, density, seed=100 + seed)
+            reports = _compare_with_oracle(
+                system.product, system.bracket("b"), system.derivation("d")
+            )
+            failing += sum(not r.passed for r in reports)
+    assert failing >= 100
+
+
+_small = st.integers(-2, 2).map(Fraction)
+
+
+@st.composite
+def _random_components(draw):
+    """An arbitrary product tensor, a random skew bracket and a dense random D."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    vec = st.lists(_small, min_size=d, max_size=d)
+    square = st.lists(vec, min_size=d, max_size=d)
+    cube = draw(st.lists(square, min_size=d, max_size=d))
+    keys = list(combinations(range(d), n))
+    entries = draw(st.dictionaries(st.sampled_from(keys), vec)) if keys else {}
+    matrix = draw(square)
+    return (
+        ProductTensor.from_entries(d, cube),
+        SkewBracket(d, n, entries),
+        DerivationMatrix.from_entries(d, matrix),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_components(), st.sampled_from(list(I)))
+def test_canonical_scan_matches_full_cube_on_random_inputs(components, ident):
+    p, b, D = components
+    assert check_identity(ident, product=p, bracket=b, derivation=D) == full_cube_report(
+        ident, p, b, D
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ def test_check_missing_file(capsys, tmp_path):
     assert main(["check", str(tmp_path / "gone.json"), "--bracket", "b1"]) == 2
 
 
+def test_check_duplicate_json_key_is_input_error(capsys, tmp_path):
+    doc = json.loads(Path(W4).read_text())
+    bracket = json.dumps(doc["brackets"]["b1"])
+    doc["brackets"] = {"b1": "BRACKET"}
+    text = json.dumps(doc).replace('"BRACKET"', f'{bracket}, "b1": {bracket}')
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--bracket", "b1"]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate key 'b1'" in err
+    assert "Traceback" not in err
+
+
 def test_check_json_output_stable(capsys):
     args = ["check", W4, "--bracket", "b1", "--derivation", "euler", "--format", "json"]
     assert main(args) == 0

@@ -228,6 +228,10 @@ def test_bracket_rejects_bad_keys():
         SkewBracket(4, 2, {(0, 4): vec(1, 0, 0, 0)})
     with pytest.raises(InputError):
         SkewBracket(4, 2, {(0, 1): vec(1, 0)})
+    # True == 1 as a dict key, but it would be saved as `true`, which no
+    # file can load back
+    with pytest.raises(InputError, match="integer indices"):
+        SkewBracket(3, 2, {(True, 2): vec(1, 0, 0)})
 
 
 def test_bracket_drops_zero_values():

@@ -207,6 +207,15 @@ def test_hunt_rejects_arity_two():
         hunt_counterexample(4, 2, 10, seed=0)
 
 
+def test_hunt_rejects_non_integer_arguments():
+    # a string seed used to reach `"x" * 6364136223846793005` (MemoryError)
+    for dim, trials, seed in (
+        (4, "10", 0), (4, 2.5, 0), (4, True, 0), (4, 10, "x"), (4, 10, 1.0), (True, 10, 0),
+    ):
+        with pytest.raises(InputError, match="must be an integer"):
+            hunt_counterexample(dim, 3, trials, seed)
+
+
 def test_hunt_zero_trials_returns_none():
     assert hunt_counterexample(4, 3, 0, seed=0) is None
 
