@@ -18,6 +18,16 @@ first failing tuple of the full cube is the first failing *canonical*
 tuple, one whose skew blocks are strictly increasing, and the single scan
 engine visits only those.  ``tuples_checked`` keeps the full-cube count
 all the same (see ``check_identity``).
+
+Inputs are validated once, at the boundary, in ``check_identity``.  The scan
+then evaluates residuals with a private kernel over tables of the
+components the identity uses (product rows, D columns, bracket entries),
+on sparse vectors and without per-call checks.  An integral structure
+constant is held as an ``int`` and any other as a ``Fraction``, so the
+arithmetic stays exact.  Each identity is transcribed once, as a function
+of an ops record; ``sampled_verdict`` runs the same transcription through
+the public, validating ``multiply``, ``bracket_apply`` and
+``DerivationMatrix.apply`` and so stays an oracle independent of the kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
-    basis_vectors,
+    _sorted_sign,
     bracket_apply,
     multiply,
 )
@@ -117,157 +127,154 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Residual evaluators.  Each takes the quantified elements in the identity's
-# written order and returns LHS - RHS as a vector.
+# Residual evaluators, one transcription per identity.  Each takes an ops
+# record (``mul``, ``brk``, ``der``, ``zero``, the arity ``n``) and the
+# quantified elements in the identity's written order, and returns LHS - RHS
+# as a vector of the ops' kind: a kernel vector inside the scan, an
+# ElementVector through the public ops in ``sampled_verdict``.
 
 
-def _res_nl(p, b, D, e):
+def _res_nl(ops, e):
     # [[y_1..y_n], x_1..x_{n-1}] - sum_i (-1)^{i-1} [[y_i, x_1..x_{n-1}], y_1..^y_i..y_n]
-    n = b.arity
+    n = ops.n
     ys, xs = e[:n], e[n:]
-    acc = bracket_apply(b, (bracket_apply(b, ys),) + xs)
+    acc = ops.brk((ops.brk(ys),) + xs)
     for i in range(n):
-        inner = bracket_apply(b, (ys[i],) + xs)
-        term = bracket_apply(b, (inner,) + ys[:i] + ys[i + 1 :])
+        inner = ops.brk((ys[i],) + xs)
+        term = ops.brk((inner,) + ys[:i] + ys[i + 1 :])
         acc = acc - term if i % 2 == 0 else acc + term
     return acc
 
 
-def _res_tp(p, b, D, e):
+def _res_tp(ops, e):
     # n*h*[x_1..x_n] - sum_i [x_1.., h*x_i, ..x_n]
     h, xs = e[0], e[1:]
-    n = b.arity
-    acc = multiply(p, h, bracket_apply(b, xs)).scaled(n)
+    n = ops.n
+    acc = ops.mul(h, ops.brk(xs)).scaled(n)
     for i in range(n):
-        acc = acc - bracket_apply(b, xs[:i] + (multiply(p, h, xs[i]),) + xs[i + 1 :])
+        acc = acc - ops.brk(xs[:i] + (ops.mul(h, xs[i]),) + xs[i + 1 :])
     return acc
 
 
-def _res_np1(p, b, D, e):
+def _res_np1(ops, e):
     # sum_i (-1)^{i-1} x_i * [x_1..^x_i..x_{n+1}]
-    acc = ElementVector.zero(b.dim)
+    acc = ops.zero
     for i in range(len(e)):
-        term = multiply(p, e[i], bracket_apply(b, e[:i] + e[i + 1 :]))
+        term = ops.mul(e[i], ops.brk(e[:i] + e[i + 1 :]))
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
 
 
-def _res_np2(p, b, D, e):
+def _res_np2(ops, e):
     # sum_i (-1)^{i-1} [h*[y_i, x..], y_1..^y_i..y_n] - [h*[y_1..y_n], x..]
-    n = b.arity
+    n = ops.n
     h, xs, ys = e[0], e[1:n], e[n:]
-    acc = -bracket_apply(b, (multiply(p, h, bracket_apply(b, ys)),) + xs)
+    acc = -ops.brk((ops.mul(h, ops.brk(ys)),) + xs)
     for i in range(n):
-        inner = multiply(p, h, bracket_apply(b, (ys[i],) + xs))
-        term = bracket_apply(b, (inner,) + ys[:i] + ys[i + 1 :])
+        inner = ops.mul(h, ops.brk((ys[i],) + xs))
+        term = ops.brk((inner,) + ys[:i] + ys[i + 1 :])
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
 
 
-def _res_np3(p, b, D, e):
+def _res_np3(ops, e):
     # sum_i (-1)^{i-1} [y_i, x..] * [y_1..^y_i..y_{n+1}]
-    n = b.arity
+    n = ops.n
     xs, ys = e[: n - 1], e[n - 1 :]
-    acc = ElementVector.zero(b.dim)
+    acc = ops.zero
     for i in range(len(ys)):
-        term = multiply(
-            p,
-            bracket_apply(b, (ys[i],) + xs),
-            bracket_apply(b, ys[:i] + ys[i + 1 :]),
-        )
+        term = ops.mul(ops.brk((ys[i],) + xs), ops.brk(ys[:i] + ys[i + 1 :]))
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
 
 
-def _res_np4(p, b, D, e):
+def _res_np4(ops, e):
     # sum_{i != j} [y_1.., y_i*x_1, .., y_j*x_2, ..y_n] - n(n-1)*x_1*x_2*[y_1..y_n]
-    n = b.arity
+    n = ops.n
     x1, x2, ys = e[0], e[1], e[2:]
-    acc = -multiply(p, multiply(p, x1, x2), bracket_apply(b, ys)).scaled(n * (n - 1))
+    acc = -ops.mul(ops.mul(x1, x2), ops.brk(ys)).scaled(n * (n - 1))
     for i in range(n):
-        yix1 = multiply(p, ys[i], x1)
+        yix1 = ops.mul(ys[i], x1)
         for j in range(n):
             if j == i:
                 continue
             args = list(ys)
             args[i] = yix1
-            args[j] = multiply(p, ys[j], x2)
-            acc = acc + bracket_apply(b, tuple(args))
+            args[j] = ops.mul(ys[j], x2)
+            acc = acc + ops.brk(tuple(args))
     return acc
 
 
-def _res_strong(p, b, D, e):
+def _res_strong(ops, e):
     # y_1*[h*y_2, x..] - y_2*[h*y_1, x..]
     #   + sum_i (-1)^{i-1} h*x_i*[y_1, y_2, x_1..^x_i..x_{n-1}]
     h, y1, y2, xs = e[0], e[1], e[2], e[3:]
-    acc = multiply(p, y1, bracket_apply(b, (multiply(p, h, y2),) + xs))
-    acc = acc - multiply(p, y2, bracket_apply(b, (multiply(p, h, y1),) + xs))
+    acc = ops.mul(y1, ops.brk((ops.mul(h, y2),) + xs))
+    acc = acc - ops.mul(y2, ops.brk((ops.mul(h, y1),) + xs))
     for i in range(len(xs)):
-        term = multiply(
-            p, multiply(p, h, xs[i]), bracket_apply(b, (y1, y2) + xs[:i] + xs[i + 1 :])
-        )
+        term = ops.mul(ops.mul(h, xs[i]), ops.brk((y1, y2) + xs[:i] + xs[i + 1 :]))
         acc = acc + term if i % 2 == 0 else acc - term
     return acc
 
 
-def _res_scale(p, b, D, e):
+def _res_scale(ops, e):
     # y_1*[h*y_2, x..] - h*y_1*[y_2, x..] - y_2*[h*y_1, x..] + h*y_2*[y_1, x..]
     h, y1, y2, xs = e[0], e[1], e[2], e[3:]
-    acc = multiply(p, y1, bracket_apply(b, (multiply(p, h, y2),) + xs))
-    acc = acc - multiply(p, multiply(p, h, y1), bracket_apply(b, (y2,) + xs))
-    acc = acc - multiply(p, y2, bracket_apply(b, (multiply(p, h, y1),) + xs))
-    acc = acc + multiply(p, multiply(p, h, y2), bracket_apply(b, (y1,) + xs))
+    acc = ops.mul(y1, ops.brk((ops.mul(h, y2),) + xs))
+    acc = acc - ops.mul(ops.mul(h, y1), ops.brk((y2,) + xs))
+    acc = acc - ops.mul(y2, ops.brk((ops.mul(h, y1),) + xs))
+    acc = acc + ops.mul(ops.mul(h, y2), ops.brk((y1,) + xs))
     return acc
 
 
-def _res_der_mul(p, b, D, e):
+def _res_der_mul(ops, e):
     # D(u*v) - D(u)*v - u*D(v)
     u, v = e
-    acc = D.apply(multiply(p, u, v))
-    acc = acc - multiply(p, D.apply(u), v)
-    acc = acc - multiply(p, u, D.apply(v))
+    acc = ops.der(ops.mul(u, v))
+    acc = acc - ops.mul(ops.der(u), v)
+    acc = acc - ops.mul(u, ops.der(v))
     return acc
 
 
-def _res_der_brk(p, b, D, e):
+def _res_der_brk(ops, e):
     # D([x_1..x_n]) - sum_k [x_1.., D(x_k), ..x_n]
-    acc = D.apply(bracket_apply(b, e))
+    acc = ops.der(ops.brk(e))
     for k in range(len(e)):
-        acc = acc - bracket_apply(b, e[:k] + (D.apply(e[k]),) + e[k + 1 :])
+        acc = acc - ops.brk(e[:k] + (ops.der(e[k]),) + e[k + 1 :])
     return acc
 
 
-def _res_lem1(p, b, D, e):
+def _res_lem1(ops, e):
     # sum_i (-1)^{i-1} D(y_i)*D([..^y_i..])
     #   - sum_i sum_{j != i} (-1)^{i-1} D(y_i)*[y_1.., D(y_j), ..^y_i..]
     m = len(e)
-    dys = [D.apply(y) for y in e]
-    acc = ElementVector.zero(b.dim)
+    dys = [ops.der(y) for y in e]
+    acc = ops.zero
     for i in range(m):
         rest = e[:i] + e[i + 1 :]
-        lhs = multiply(p, dys[i], D.apply(bracket_apply(b, rest)))
+        lhs = ops.mul(dys[i], ops.der(ops.brk(rest)))
         acc = acc + lhs if i % 2 == 0 else acc - lhs
         for j in range(m):
             if j == i:
                 continue
             args = tuple(dys[t] if t == j else e[t] for t in range(m) if t != i)
-            term = multiply(p, dys[i], bracket_apply(b, args))
+            term = ops.mul(dys[i], ops.brk(args))
             acc = acc - term if i % 2 == 0 else acc + term
     return acc
 
 
-def _res_lem2(p, b, D, e):
+def _res_lem2(ops, e):
     # sum_i (-1)^{i-1} D(y_i)*D([..^y_i..])
     #   - sum_i sum_{j != i} sum_{k > j, k != i} (-1)^i
     #       y_i*[y_1.., D(y_j), .., D(y_k), ..^y_i..]
     # Empty inner sums contribute zero, which the loops realize natively.
     m = len(e)
-    dys = [D.apply(y) for y in e]
-    acc = ElementVector.zero(b.dim)
+    dys = [ops.der(y) for y in e]
+    acc = ops.zero
     for i in range(m):
         sign = 1 if i % 2 == 0 else -1
         rest = e[:i] + e[i + 1 :]
-        lhs = multiply(p, dys[i], D.apply(bracket_apply(b, rest)))
+        lhs = ops.mul(dys[i], ops.der(ops.brk(rest)))
         acc = acc + lhs if sign > 0 else acc - lhs
         for j in range(m):
             if j == i:
@@ -278,56 +285,161 @@ def _res_lem2(p, b, D, e):
                 args = tuple(
                     dys[t] if t in (j, k) else e[t] for t in range(m) if t != i
                 )
-                term = multiply(p, e[i], bracket_apply(b, args))
+                term = ops.mul(e[i], ops.brk(args))
                 # RHS carries (-1)^i = -(-1)^{i-1}, so LHS - RHS adds with sign.
                 acc = acc + term if sign > 0 else acc - term
     return acc
 
 
-def _res_comm_sample(p, b, D, e):
+def _res_comm_sample(ops, e):
     x, y = e
-    return multiply(p, x, y) - multiply(p, y, x)
+    return ops.mul(x, y) - ops.mul(y, x)
 
 
-def _res_assoc_sample(p, b, D, e):
+def _res_assoc_sample(ops, e):
     x, y, z = e
-    return multiply(p, multiply(p, x, y), z) - multiply(p, x, multiply(p, y, z))
+    return ops.mul(ops.mul(x, y), z) - ops.mul(x, ops.mul(y, z))
 
 
-
-def _eval_comm(p: ProductTensor):
-    c = p.c
-    d = p.dim
-
-    def ev(idx):
-        i, j, k = idx
-        delta = c[i][j][k] - c[j][i][k]
-        if not delta:
-            return None
-        coords = [Fraction(0)] * d
-        coords[k] = delta
-        return ElementVector(tuple(coords))
-
-    return ev
+# ---------------------------------------------------------------------------
+# The ops the residuals run on.  ``_public_ops`` goes through the validating
+# ``multiply``, ``bracket_apply`` and ``DerivationMatrix.apply``.
+# ``_kernel_ops`` evaluates over tables that ``check_identity`` builds once,
+# after its boundary checks, so nothing is validated per tuple.
 
 
-def _eval_assoc(p: ProductTensor):
-    c = p.c
-    rows = p._rows
-    d = p.dim
+@dataclass(frozen=True)
+class _Ops:
+    mul: Callable
+    brk: Callable
+    der: Callable
+    zero: object
+    n: int
 
-    def ev(idx):
-        i, j, l, k = idx
-        lhs = sum((w * c[m][l][k] for m, w in rows[i][j]), Fraction(0))
-        rhs = sum((w * c[i][m][k] for m, w in rows[j][l]), Fraction(0))
-        delta = lhs - rhs
-        if not delta:
-            return None
-        coords = [Fraction(0)] * d
-        coords[k] = delta
-        return ElementVector(tuple(coords))
 
-    return ev
+def _public_ops(p, b, D, d: int) -> _Ops:
+    return _Ops(
+        lambda x, y: multiply(p, x, y),
+        lambda args: bracket_apply(b, args),
+        lambda x: D.apply(x),
+        ElementVector.zero(d),
+        b.arity if b is not None else 0,
+    )
+
+
+class _Vec(dict):
+    """A kernel vector: basis index -> nonzero coefficient; never mutated once built."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if not other:
+            return self
+        if not self:
+            return other
+        acc = _Vec(self)
+        for k, v in other.items():
+            s = acc.get(k, 0) + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return acc
+
+    def __sub__(self, other):
+        if not other:
+            return self
+        acc = _Vec(self)
+        for k, v in other.items():
+            s = acc.get(k, 0) - v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return acc
+
+    def __neg__(self):
+        return _Vec({k: -v for k, v in self.items()})
+
+    def scaled(self, a: int):
+        return _Vec({k: a * v for k, v in self.items()})
+
+
+_ZERO_VEC = _Vec()
+
+
+def _nonzero(acc: dict) -> _Vec:
+    # ``acc`` without its cancelled entries; the ops call it on nonempty ones.
+    if 0 in acc.values():
+        return _Vec({k: v for k, v in acc.items() if v})
+    return _Vec(acc)
+
+
+def _exact(value: Fraction):
+    # Integral constants become ints: exact, and far cheaper than Fractions.
+    return value.numerator if value.denominator == 1 else value
+
+
+def _pairs(pairs) -> tuple:
+    return tuple((k, _exact(c)) for k, c in pairs)
+
+
+def _kernel_ops(definition, p, b, D) -> _Ops:
+    """Table-driven ops over ``_Vec``s, built from the components used only."""
+    mul = brk = der = None
+    if definition.needs_product:
+        rows = [[_pairs(cell) for cell in row] for row in p._rows]
+
+        def mul(x, y):
+            if not y:
+                return _ZERO_VEC
+            acc = {}
+            for i, xi in x.items():
+                row = rows[i]
+                for j, yj in y.items():
+                    w = xi * yj
+                    for k, c in row[j]:
+                        acc[k] = acc.get(k, 0) + w * c
+            return _nonzero(acc) if acc else _ZERO_VEC
+
+    if definition.needs_bracket:
+        table = {key: _pairs(value.support()) for key, value in b.entries.items()}
+        signed = {}
+
+        def lookup(idx):
+            # [e_i1, .., e_in] for any index order, filled in on first use.
+            key, sign = _sorted_sign(idx)
+            value = table.get(key, ()) if sign else ()
+            if sign < 0:
+                value = tuple((k, -c) for k, c in value)
+            signed[idx] = value
+            return value
+
+        def brk(args):
+            acc = {}
+            for idx in iproduct(*args):
+                value = signed.get(idx)
+                if value is None:
+                    value = lookup(idx)
+                if value:
+                    w = 1
+                    for a, i in zip(args, idx):
+                        w *= a[i]
+                    for k, c in value:
+                        acc[k] = acc.get(k, 0) + w * c
+            return _nonzero(acc) if acc else _ZERO_VEC
+
+    if definition.needs_derivation:
+        cols = [_pairs(col) for col in D._cols]
+
+        def der(x):
+            acc = {}
+            for j, xj in x.items():
+                for k, c in cols[j]:
+                    acc[k] = acc.get(k, 0) + xj * c
+            return _nonzero(acc) if acc else _ZERO_VEC
+
+    return _Ops(mul, brk, der, _ZERO_VEC, b.arity if b is not None else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +455,10 @@ class _IdentityDef:
     needs_derivation: bool
     blocks: Callable[[int], tuple[tuple[int, bool], ...]]
     residual: Callable
-    # COMM and ASSOC scan coordinate tuples (i, j, k) / (i, j, l, k) of the
-    # product tensor with these kernels; ``residual`` is their element form,
-    # on ``sample_count`` elements, for sampling.
-    kernel: Callable[[ProductTensor], Callable] | None = None
-    sample_count: int | None = None
+    # COMM and ASSOC scan the coefficient tuples (i, j, k) / (i, j, l, k) of
+    # the product tensor: the leading indices name the elements ``residual``
+    # takes, and the last one the coordinate of their residual.
+    coordinate: bool = False
     # DER_BRK is defined on strictly increasing tuples and counts only those.
     increasing_only: bool = False
 
@@ -390,12 +501,10 @@ _DEFS: dict[IdentityId, _IdentityDef] = {
         True, True, True, lambda n: ((n + 1, True),), _res_lem2
     ),
     IdentityId.COMM: _IdentityDef(
-        True, False, False, lambda n: ((3, False),), _res_comm_sample,
-        kernel=_eval_comm, sample_count=2,
+        True, False, False, lambda n: ((3, False),), _res_comm_sample, coordinate=True
     ),
     IdentityId.ASSOC: _IdentityDef(
-        True, False, False, lambda n: ((4, False),), _res_assoc_sample,
-        kernel=_eval_assoc, sample_count=3,
+        True, False, False, lambda n: ((4, False),), _res_assoc_sample, coordinate=True
     ),
 }
 
@@ -411,15 +520,28 @@ def _lex_rank(idx: tuple[int, ...], d: int) -> int:
     return rank
 
 
-def _evaluator(definition: _IdentityDef, p, b, D, d: int):
+def _evaluator(definition: _IdentityDef, ops: _Ops, d: int):
     """The residual of one identity as a function of a basis index tuple."""
-    if definition.kernel is not None:
-        return definition.kernel(p)
-    basis = basis_vectors(d)
+    basis = [_Vec({t: 1}) for t in range(d)]
     residual = definition.residual
+    if not definition.coordinate:
+
+        def ev(idx):
+            return residual(ops, tuple([basis[t] for t in idx]))
+
+        return ev
+    # Consecutive lex tuples share their leading indices, so the residual
+    # vector of the current prefix is kept.
+    prefix = [None, None]
 
     def ev(idx):
-        return residual(p, b, D, tuple(basis[t] for t in idx))
+        head = idx[:-1]
+        if head != prefix[0]:
+            prefix[0] = head
+            prefix[1] = residual(ops, tuple([basis[t] for t in head]))
+        k = idx[-1]
+        c = prefix[1].get(k)
+        return _Vec({k: c}) if c else _ZERO_VEC
 
     return ev
 
@@ -441,7 +563,7 @@ def _scan(d: int, blocks, eval_fn):
         idx = tuple(chain.from_iterable(combo))
         visited += 1
         res = eval_fn(idx)
-        if res is not None and not res.is_zero():
+        if res:
             return visited, idx, res
     return visited, None, None
 
@@ -483,8 +605,10 @@ def check_identity(
     blocks = definition.blocks(bracket.arity if bracket is not None else 0)
 
     start = time.perf_counter()
-    ev = _evaluator(definition, product, bracket, derivation, d)
-    visited, ce, res = _scan(d, blocks, ev)
+    ops = _kernel_ops(definition, product, bracket, derivation)
+    visited, ce, res = _scan(d, blocks, _evaluator(definition, ops, d))
+    if res is not None:
+        res = ElementVector(tuple(Fraction(res.get(k, 0)) for k in range(d)))
     elapsed = time.perf_counter() - start
     if definition.increasing_only:
         checked = visited
@@ -633,15 +757,12 @@ def sampled_verdict(
     if definition.needs_derivation and derivation is None:
         raise InputError(f"{identity.name} requires a derivation")
     d = product.dim if product is not None else bracket.dim
-    n = bracket.arity if bracket is not None else 0
-    if definition.sample_count is not None:
-        count = definition.sample_count
-    else:
-        count = sum(size for size, _ in definition.blocks(n))
+    ops = _public_ops(product, bracket, derivation, d)
+    count = sum(size for size, _ in definition.blocks(ops.n)) - definition.coordinate
     rng = random.Random(seed)
     for _ in range(samples):
         elems = tuple(_random_vector(d, rng) for _ in range(count))
-        res = definition.residual(product, bracket, derivation, elems)
+        res = definition.residual(ops, elems)
         if not res.is_zero():
             return "fail"
     return "pass"

@@ -258,10 +258,14 @@ class SkewBracket:
             raise InputError(f"dimension must be a positive integer, got {d!r}")
         if not isinstance(n, int) or n < 2:
             raise InputError(f"bracket arity must be an integer >= 2, got {n!r}")
-        clean: dict[tuple[int, ...], ElementVector] = {}
-        for key in sorted(self.entries):
-            value = self.entries[key]
-            key = tuple(key)
+        # Every key is checked before the keys are sorted: sorting keys of
+        # mixed types would raise a bare TypeError.
+        keyed = {}
+        for key, value in self.entries.items():
+            try:
+                key = tuple(key)
+            except TypeError:
+                raise InputError(f"bracket key {key!r} must be a tuple of {n} indices") from None
             if len(key) != n:
                 raise InputError(f"bracket key {key} must have {n} indices")
             if any(
@@ -270,6 +274,10 @@ class SkewBracket:
                 raise InputError(f"bracket key {key} needs integer indices in 0..{d - 1}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise InputError(f"bracket key {key}: indices not strictly increasing")
+            keyed[key] = value
+        clean: dict[tuple[int, ...], ElementVector] = {}
+        for key in sorted(keyed):
+            value = keyed[key]
             if not isinstance(value, ElementVector):
                 value = ElementVector.from_coords(value)
             if value.dim != d:

@@ -64,9 +64,13 @@ def system_to_dict(system: AlgebraSystem) -> dict:
 
 def _rational_at(value, where: str):
     try:
-        return rat(value)
+        q = rat(value)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
+    # Files hold canonical "p/q" or "p" strings only, the form saving writes.
+    if isinstance(value, str) and value != str(q):
+        raise InputError(f"{where}: {value!r} is not a canonical rational (write {str(q)!r})")
+    return q
 
 
 def _require(condition: bool, message: str) -> None:

@@ -76,6 +76,17 @@ def test_check_duplicate_json_key_is_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_check_non_canonical_rational_is_input_error(capsys, tmp_path):
+    doc = json.loads(Path(W4).read_text())
+    doc["derivations"]["euler"][1][1] = "2/2"
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--bracket", "b1"]) == 2
+    err = capsys.readouterr().err
+    assert "derivations['euler'][1][1]" in err and "'2/2'" in err
+    assert "Traceback" not in err
+
+
 def test_check_json_output_stable(capsys):
     args = ["check", W4, "--bracket", "b1", "--derivation", "euler", "--format", "json"]
     assert main(args) == 0

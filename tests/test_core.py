@@ -232,6 +232,11 @@ def test_bracket_rejects_bad_keys():
     # file can load back
     with pytest.raises(InputError, match="integer indices"):
         SkewBracket(3, 2, {(True, 2): vec(1, 0, 0)})
+    # keys of mixed types cannot be sorted; the bad one is named instead
+    with pytest.raises(InputError, match="integer indices"):
+        SkewBracket(3, 2, {(0, "a"): vec(1, 0, 0), (0, 1): vec(1, 0, 0)})
+    with pytest.raises(InputError, match="tuple of 2 indices"):
+        SkewBracket(3, 2, {5: vec(1, 0, 0), (0, 1): vec(1, 0, 0)})
 
 
 def test_bracket_drops_zero_values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,6 +150,22 @@ def test_load_rejects_float_entries():
     doc["product"][0][0][0] = 0.5
     with pytest.raises(InputError, match="rational"):
         system_from_dict(doc)
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", " 1/2 ", "2/4", "+1", "-0"])
+def test_load_rejects_non_canonical_rationals(text):
+    doc = _base_doc()
+    doc["product"][0][0][1] = text
+    # Python 3.10 cannot parse "1_000" at all, later versions read it as 1000;
+    # either way the file is refused at this location.
+    with pytest.raises(InputError, match=r"product\[0\]\[0\]\[1\]: .*" + re.escape(repr(text))):
+        system_from_dict(doc)
+
+
+def test_load_accepts_json_integers():
+    doc = _base_doc()
+    doc["product"] = [[[int(c) for c in row] for row in plane] for plane in doc["product"]]
+    assert system_from_dict(doc) == system_from_dict(_base_doc())
 
 
 def test_load_reports_json_position(tmp_path):
