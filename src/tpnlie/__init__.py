@@ -8,15 +8,7 @@ enumeration, and builds derivation-driven arity extensions and towers.
 from .axioms import (
     CheckReport,
     IdentityId,
-    check_commutative_associative,
-    check_derivation,
-    check_filippov,
     check_identity,
-    check_lemma_identity,
-    check_np_identity,
-    check_scale_identity,
-    check_strong,
-    check_transposed_leibniz,
     run_suite,
     sampled_verdict,
 )
@@ -79,15 +71,7 @@ __all__ = [
     "bracket_apply",
     "build_tower",
     "canonicalize",
-    "check_commutative_associative",
-    "check_derivation",
-    "check_filippov",
     "check_identity",
-    "check_lemma_identity",
-    "check_np_identity",
-    "check_scale_identity",
-    "check_strong",
-    "check_transposed_leibniz",
     "derivation_bracket",
     "extend_bracket",
     "finding_to_dict",

@@ -19,15 +19,17 @@ tuple, one whose skew blocks are strictly increasing, and the single scan
 engine visits only those.  ``tuples_checked`` keeps the full-cube count
 all the same (see ``check_identity``).
 
-Inputs are validated once, at the boundary, in ``check_identity``.  The scan
-then evaluates residuals with a private kernel over tables of the
-components the identity uses (product rows, D columns, bracket entries),
-on sparse vectors and without per-call checks.  An integral structure
-constant is held as an ``int`` and any other as a ``Fraction``, so the
-arithmetic stays exact.  Each identity is transcribed once, as a function
-of an ops record; ``sampled_verdict`` runs the same transcription through
-the public, validating ``multiply``, ``bracket_apply`` and
-``DerivationMatrix.apply`` and so stays an oracle independent of the kernel.
+``check_identity`` checks one identity and ``run_suite`` a set of them.
+Inputs are validated once, at the boundary that ``check_identity`` and
+``sampled_verdict`` share.  The scan then evaluates residuals with a private
+kernel over tables of the components the identity uses (product rows, D
+columns, bracket entries), on sparse vectors and without per-call checks.
+An integral structure constant is held as an ``int`` and any other as a
+``Fraction``, so the arithmetic stays exact.  Each identity is transcribed
+once, as a function of an ops record; ``sampled_verdict`` runs the same
+transcription through the public, validating ``multiply``, ``bracket_apply``
+and ``DerivationMatrix.apply`` and so stays an oracle independent of the
+kernel.
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ __all__ = [
     "IdentityId",
     "CheckReport",
     "check_identity",
-    "check_commutative_associative",
-    "check_filippov",
-    "check_transposed_leibniz",
-    "check_np_identity",
-    "check_strong",
-    "check_scale_identity",
-    "check_derivation",
-    "check_lemma_identity",
     "run_suite",
     "sampled_verdict",
 ]
@@ -317,13 +311,13 @@ class _Ops:
     n: int
 
 
-def _public_ops(p, b, D, d: int) -> _Ops:
+def _public_ops(p, b, D, d: int, n: int) -> _Ops:
     return _Ops(
         lambda x, y: multiply(p, x, y),
         lambda args: bracket_apply(b, args),
         lambda x: D.apply(x),
         ElementVector.zero(d),
-        b.arity if b is not None else 0,
+        n,
     )
 
 
@@ -384,7 +378,7 @@ def _pairs(pairs) -> tuple:
     return tuple((k, _exact(c)) for k, c in pairs)
 
 
-def _kernel_ops(definition, p, b, D) -> _Ops:
+def _kernel_ops(definition, p, b, D, n: int) -> _Ops:
     """Table-driven ops over ``_Vec``s, built from the components used only."""
     mul = brk = der = None
     if definition.needs_product:
@@ -439,7 +433,7 @@ def _kernel_ops(definition, p, b, D) -> _Ops:
                     acc[k] = acc.get(k, 0) + xj * c
             return _nonzero(acc) if acc else _ZERO_VEC
 
-    return _Ops(mul, brk, der, _ZERO_VEC, b.arity if b is not None else 0)
+    return _Ops(mul, brk, der, _ZERO_VEC, n)
 
 
 # ---------------------------------------------------------------------------
@@ -568,13 +562,48 @@ def _scan(d: int, blocks, eval_fn):
     return visited, None, None
 
 
+def _boundary(identity, product, bracket, derivation, samples: int = 1):
+    """(definition, dimension, arity) of a check, after validating its inputs.
+
+    The arity is 0 when the identity uses no bracket.  Every component given
+    must have its type, and the ones the identity uses one dimension.
+    """
+    if not isinstance(identity, IdentityId):
+        raise InputError(f"not an identity id: {identity!r}")
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+        raise InputError(f"samples must be an integer >= 1, got {samples!r}")
+    definition = _DEFS[identity]
+    dims = {}
+    for name, obj, kind, used in (
+        ("product", product, ProductTensor, definition.needs_product),
+        ("bracket", bracket, SkewBracket, definition.needs_bracket),
+        ("derivation", derivation, DerivationMatrix, definition.needs_derivation),
+    ):
+        if obj is None:
+            if used:
+                raise InputError(f"{identity.name} requires a {name}")
+        elif not isinstance(obj, kind):
+            raise InputError(
+                f"{identity.name}: the {name} must be a {kind.__name__}, "
+                f"got a {type(obj).__name__}"
+            )
+        elif used:
+            dims[name] = obj.dim
+    found = set(dims.values())
+    if len(found) != 1:
+        given = ", ".join(f"{name} {dim}" for name, dim in dims.items())
+        raise InputError(f"{identity.name}: component dimensions disagree ({given})")
+    n = bracket.arity if definition.needs_bracket else 0
+    return definition, found.pop(), n
+
+
 def check_identity(
     identity: IdentityId,
     product: ProductTensor | None = None,
     bracket: SkewBracket | None = None,
     derivation: DerivationMatrix | None = None,
 ) -> CheckReport:
-    """Verify one identity exhaustively; the single entry point all checkers share.
+    """Verify one identity exhaustively; ``run_suite`` checks a set of them.
 
     The scan visits only the canonical tuples, whose skew blocks are strictly
     increasing (see the module docstring), yet the report is the one a full
@@ -583,29 +612,11 @@ def check_identity(
     failure.  DER_BRK counts strictly increasing tuples instead: all of them
     on a pass, the counterexample's position among them on a failure.
     """
-    definition = _DEFS[identity]
-    if definition.needs_product and product is None:
-        raise InputError(f"{identity.name} requires a product")
-    if definition.needs_bracket and bracket is None:
-        raise InputError(f"{identity.name} requires a bracket")
-    if definition.needs_derivation and derivation is None:
-        raise InputError(f"{identity.name} requires a derivation")
-    dims = {
-        obj.dim
-        for obj, used in (
-            (product, definition.needs_product),
-            (bracket, definition.needs_bracket),
-            (derivation, definition.needs_derivation),
-        )
-        if used
-    }
-    if len(dims) != 1:
-        raise InputError(f"{identity.name}: component dimensions disagree: {sorted(dims)}")
-    d = dims.pop()
-    blocks = definition.blocks(bracket.arity if bracket is not None else 0)
+    definition, d, n = _boundary(identity, product, bracket, derivation)
+    blocks = definition.blocks(n)
 
     start = time.perf_counter()
-    ops = _kernel_ops(definition, product, bracket, derivation)
+    ops = _kernel_ops(definition, product, bracket, derivation, n)
     visited, ce, res = _scan(d, blocks, _evaluator(definition, ops, d))
     if res is not None:
         res = ElementVector(tuple(Fraction(res.get(k, 0)) for k in range(d)))
@@ -618,77 +629,6 @@ def check_identity(
         checked = _lex_rank(ce, d) + 1
     status = "pass" if ce is None else "fail"
     return CheckReport(identity, status, checked, ce, res, elapsed)
-
-
-# ---------------------------------------------------------------------------
-# Named checkers.
-
-
-def check_commutative_associative(product: ProductTensor) -> tuple[CheckReport, CheckReport]:
-    """COMM over all (i, j, k) and ASSOC over all (i, j, l, k)."""
-    return (
-        check_identity(IdentityId.COMM, product=product),
-        check_identity(IdentityId.ASSOC, product=product),
-    )
-
-
-def check_filippov(bracket: SkewBracket) -> CheckReport:
-    """The fundamental identity of the n-ary bracket, over d^(2n-1) tuples."""
-    return check_identity(IdentityId.NL, bracket=bracket)
-
-
-def check_transposed_leibniz(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
-    """n*h*[x_1..x_n] = sum_i [x_1.., h*x_i, ..x_n], over d^(n+1) tuples."""
-    return check_identity(IdentityId.TP, product=product, bracket=bracket)
-
-
-_NP_IDS = (IdentityId.NP1, IdentityId.NP2, IdentityId.NP3, IdentityId.NP4)
-_LEM_IDS = (IdentityId.LEM1, IdentityId.LEM2)
-
-
-def check_np_identity(
-    product: ProductTensor, bracket: SkewBracket, which: IdentityId
-) -> CheckReport:
-    """One of the four derived identities NP1..NP4."""
-    if which not in _NP_IDS:
-        raise InputError(f"expected one of NP1..NP4, got {which}")
-    return check_identity(which, product=product, bracket=bracket)
-
-
-def check_strong(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
-    """The strong compatibility condition, over d^(n+2) tuples."""
-    return check_identity(IdentityId.STRONG, product=product, bracket=bracket)
-
-
-def check_scale_identity(product: ProductTensor, bracket: SkewBracket) -> CheckReport:
-    """The scaling identity, over d^(n+2) tuples."""
-    return check_identity(IdentityId.SCALE, product=product, bracket=bracket)
-
-
-def check_derivation(
-    product: ProductTensor, bracket: SkewBracket, derivation: DerivationMatrix
-) -> tuple[CheckReport, CheckReport]:
-    """Leibniz over the product (all d^2 pairs) and over the bracket.
-
-    DER_BRK is checked on strictly increasing tuples only: both sides are
-    multilinear and skew under argument exchange, so those span all cases.
-    """
-    return (
-        check_identity(IdentityId.DER_MUL, product=product, derivation=derivation),
-        check_identity(IdentityId.DER_BRK, bracket=bracket, derivation=derivation),
-    )
-
-
-def check_lemma_identity(
-    product: ProductTensor,
-    bracket: SkewBracket,
-    derivation: DerivationMatrix,
-    which: IdentityId,
-) -> CheckReport:
-    """One of the two derivation-sum identities LEM1 / LEM2, over d^(n+1) tuples."""
-    if which not in _LEM_IDS:
-        raise InputError(f"expected LEM1 or LEM2, got {which}")
-    return check_identity(which, product=product, bracket=bracket, derivation=derivation)
 
 
 def run_suite(
@@ -749,16 +689,9 @@ def sampled_verdict(
     seed: int = 0,
 ) -> str:
     """Evaluate one identity on seeded random element tuples: "pass" or "fail"."""
-    definition = _DEFS[identity]
-    if definition.needs_product and product is None:
-        raise InputError(f"{identity.name} requires a product")
-    if definition.needs_bracket and bracket is None:
-        raise InputError(f"{identity.name} requires a bracket")
-    if definition.needs_derivation and derivation is None:
-        raise InputError(f"{identity.name} requires a derivation")
-    d = product.dim if product is not None else bracket.dim
-    ops = _public_ops(product, bracket, derivation, d)
-    count = sum(size for size, _ in definition.blocks(ops.n)) - definition.coordinate
+    definition, d, n = _boundary(identity, product, bracket, derivation, samples)
+    ops = _public_ops(product, bracket, derivation, d, n)
+    count = sum(size for size, _ in definition.blocks(n)) - definition.coordinate
     rng = random.Random(seed)
     for _ in range(samples):
         elems = tuple(_random_vector(d, rng) for _ in range(count))

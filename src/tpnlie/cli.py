@@ -28,14 +28,11 @@ from .files import load_system, report_to_dict, save_finding, save_system
 
 __all__ = ["main", "main_entry"]
 
-_DER_IDS = {IdentityId.DER_MUL, IdentityId.DER_BRK, IdentityId.LEM1, IdentityId.LEM2}
 
-
-def _parse_suite(spec: str, have_derivation: bool) -> list[IdentityId]:
+def _parse_suite(spec: str) -> list[IdentityId] | None:
+    """The listed identities, or None for "all": those ``run_suite`` applies."""
     if spec.strip().lower() == "all":
-        if have_derivation:
-            return list(IdentityId)
-        return [i for i in IdentityId if i not in _DER_IDS]
+        return None
     ids = []
     for token in spec.split(","):
         token = token.strip()
@@ -46,6 +43,8 @@ def _parse_suite(spec: str, have_derivation: bool) -> list[IdentityId]:
         except KeyError:
             known = ", ".join(i.name for i in IdentityId)
             raise InputError(f"unknown identity {token!r} (known: {known})") from None
+    if not ids:
+        raise InputError(f"--suite {spec!r} names no identity")
     return ids
 
 
@@ -63,7 +62,7 @@ def _print_reports(reports: list[CheckReport], fmt: str) -> None:
 
 def cmd_check(args) -> int:
     system = load_system(args.file)
-    ids = _parse_suite(args.suite, args.derivation is not None)
+    ids = _parse_suite(args.suite)
     reports = run_suite(system, args.bracket, args.derivation, ids)
     _print_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1

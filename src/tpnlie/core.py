@@ -40,6 +40,25 @@ class InputError(ValueError):
     """Malformed user input: bad shapes, unknown names, unparsable data."""
 
 
+def _dimension(d) -> int:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise InputError(f"dimension must be a positive integer, got {d!r}")
+    return d
+
+
+def _rationals(entries, depth: int, what: str) -> tuple:
+    # ``entries`` nested ``depth`` deep, as tuples of Rationals: the form a
+    # save and a load give back, so equality survives the round trip.
+    try:
+        if depth == 1:
+            return tuple(map(rat, entries))
+        if depth == 2:  # spares a call per row
+            return tuple(tuple(map(rat, row)) for row in entries)
+        return tuple(_rationals(e, depth - 1, what) for e in entries)
+    except TypeError:
+        raise InputError(f"{what}: expected lists of rationals") from None
+
+
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or canonical "p/q" / "p" string to a Rational.
 
@@ -173,29 +192,19 @@ class ProductTensor:
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = self.dim
-        if not isinstance(d, int) or d < 1:
-            raise InputError(f"dimension must be a positive integer, got {d!r}")
-        if len(self.c) != d or any(
-            len(plane) != d or any(len(row) != d for row in plane) for plane in self.c
-        ):
+        d = _dimension(self.dim)
+        c = _rationals(self.c, 3, "product tensor")
+        if len(c) != d or any(len(p) != d or any(len(row) != d for row in p) for p in c):
             raise InputError(f"product tensor must be {d}x{d}x{d}")
+        object.__setattr__(self, "c", c)
         rows = tuple(
             tuple(
-                tuple((k, v) for k, v in enumerate(self.c[i][j]) if v)
+                tuple((k, v) for k, v in enumerate(c[i][j]) if v)
                 for j in range(d)
             )
             for i in range(d)
         )
         object.__setattr__(self, "_rows", rows)
-
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "ProductTensor":
-        """Build from any nested d*d*d structure of rational-coercible values."""
-        cube = tuple(
-            tuple(tuple(rat(v) for v in row) for row in plane) for plane in entries
-        )
-        return cls(dim, cube)
 
     @classmethod
     def zero(cls, dim: int) -> "ProductTensor":
@@ -253,9 +262,7 @@ class SkewBracket:
     entries: Mapping[tuple[int, ...], ElementVector]
 
     def __post_init__(self) -> None:
-        d, n = self.dim, self.arity
-        if not isinstance(d, int) or d < 1:
-            raise InputError(f"dimension must be a positive integer, got {d!r}")
+        d, n = _dimension(self.dim), self.arity
         if not isinstance(n, int) or n < 2:
             raise InputError(f"bracket arity must be an integer >= 2, got {n!r}")
         # Every key is checked before the keys are sorted: sorting keys of
@@ -278,8 +285,11 @@ class SkewBracket:
         clean: dict[tuple[int, ...], ElementVector] = {}
         for key in sorted(keyed):
             value = keyed[key]
+            # ElementVector() checks nothing, so only one of Fractions is kept.
             if not isinstance(value, ElementVector):
-                value = ElementVector.from_coords(value)
+                value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))
+            elif not all(isinstance(c, Fraction) for c in value.coords):
+                value = ElementVector(_rationals(value.coords, 1, f"bracket value for {key}"))
             if value.dim != d:
                 raise InputError(f"bracket value for {key} must have length {d}")
             if not value.is_zero():
@@ -344,20 +354,13 @@ class DerivationMatrix:
     _cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = self.dim
-        if not isinstance(d, int) or d < 1:
-            raise InputError(f"dimension must be a positive integer, got {d!r}")
-        if len(self.m) != d or any(len(row) != d for row in self.m):
+        d = _dimension(self.dim)
+        m = _rationals(self.m, 2, "derivation matrix")
+        if len(m) != d or any(len(row) != d for row in m):
             raise InputError(f"derivation matrix must be {d}x{d}")
-        cols = tuple(
-            tuple((k, self.m[k][j]) for k in range(d) if self.m[k][j])
-            for j in range(d)
-        )
+        object.__setattr__(self, "m", m)
+        cols = tuple(tuple((k, m[k][j]) for k in range(d) if m[k][j]) for j in range(d))
         object.__setattr__(self, "_cols", cols)
-
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "DerivationMatrix":
-        return cls(dim, tuple(tuple(rat(v) for v in row) for row in entries))
 
     @classmethod
     def zero(cls, dim: int) -> "DerivationMatrix":
@@ -395,15 +398,24 @@ class AlgebraSystem:
     basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        d = self.dim
+        d = _dimension(self.dim)
+        if not isinstance(self.product, ProductTensor):
+            raise InputError(f"product must be a ProductTensor, not {type(self.product).__name__}")
         if self.product.dim != d:
             raise InputError(f"product has dimension {self.product.dim}, system has {d}")
-        for name, b in self.brackets.items():
-            if b.dim != d:
-                raise InputError(f"bracket {name!r} has dimension {b.dim}, system has {d}")
-        for name, m in self.derivations.items():
-            if m.dim != d:
-                raise InputError(f"derivation {name!r} has dimension {m.dim}, system has {d}")
+        for kind, parts, cls in (
+            ("bracket", self.brackets, SkewBracket),
+            ("derivation", self.derivations, DerivationMatrix),
+        ):
+            for name, part in parts.items():
+                # Names are saved as JSON object keys, which are strings.
+                if not isinstance(name, str):
+                    raise InputError(f"{kind} name {name!r} must be a string")
+                if not isinstance(part, cls):
+                    what = type(part).__name__
+                    raise InputError(f"{kind} {name!r} is a {what}, not a {cls.__name__}")
+                if part.dim != d:
+                    raise InputError(f"{kind} {name!r} has dimension {part.dim}, system has {d}")
         if self.basis_labels is not None:
             labels = tuple(str(s) for s in self.basis_labels)
             if len(labels) != d:

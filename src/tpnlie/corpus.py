@@ -41,7 +41,7 @@ __all__ = [
     "ternary_sweep_corpus",
 ]
 
-MAX_RANDOM_DIM = 12  # performance guard for random_system; override explicitly
+MAX_RANDOM_DIM = 12  # performance guard for random_system
 
 
 def _monomial_label(exponents: list[tuple[str, int]]) -> str:
@@ -65,7 +65,7 @@ def make_truncated_poly(m: int) -> AlgebraSystem:
         [[Fraction(1) if i + j == k else Fraction(0) for k in range(m)] for j in range(m)]
         for i in range(m)
     ]
-    product = ProductTensor.from_entries(m, cube)
+    product = ProductTensor(m, cube)
     euler = poly_derivation(m, [1])
     labels = tuple(_monomial_label([("t", k)]) for k in range(m))
     return AlgebraSystem(
@@ -93,7 +93,7 @@ def poly_derivation(m: int, coeffs) -> DerivationMatrix:
             k = j - 1 + r
             if ar and 0 <= k < m:
                 cols[k][j] += j * ar
-    return DerivationMatrix(m, tuple(tuple(row) for row in cols))
+    return DerivationMatrix(m, cols)
 
 
 def formal_derivative(m: int) -> DerivationMatrix:
@@ -110,7 +110,7 @@ def formal_derivative(m: int) -> DerivationMatrix:
         [Fraction(j) if k == j - 1 else Fraction(0) for j in range(m)]
         for k in range(m)
     ]
-    return DerivationMatrix(m, tuple(tuple(row) for row in rows))
+    return DerivationMatrix(m, rows)
 
 
 def _tensor_index(i: int, j: int, a: int) -> int:
@@ -138,7 +138,7 @@ def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
                         v = _tensor_index(i2, j2, a)
                         w = _tensor_index(i1 + i2, j1 + j2, a)
                         cube[u][v][w] = Fraction(1)
-    product = ProductTensor.from_entries(d, cube)
+    product = ProductTensor(d, cube)
     d1 = tensor_diagonal_derivation(a, b, 1, 0)
     d2 = tensor_diagonal_derivation(a, b, 0, 1)
     labels = tuple(
@@ -164,7 +164,7 @@ def tensor_diagonal_derivation(a: int, b: int, alpha, beta) -> DerivationMatrix:
         for j in range(b):
             k = _tensor_index(i, j, a)
             rows[k][k] = alpha * i + beta * j
-    return DerivationMatrix(d, tuple(tuple(row) for row in rows))
+    return DerivationMatrix(d, rows)
 
 
 def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSystem:
@@ -183,14 +183,7 @@ def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSyste
     )
 
 
-def random_system(
-    dim: int,
-    arity: int,
-    density,
-    seed: int,
-    *,
-    allow_large_dim: bool = False,
-) -> AlgebraSystem:
+def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
     """A seeded random system: symmetrized product, sparse skew bracket "b",
     and a candidate derivation "d".  Pure function of its arguments; makes no
     axiom promises whatsoever, callers filter through the checkers.
@@ -201,11 +194,8 @@ def random_system(
     """
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"dimension must be a positive integer, got {dim!r}")
-    if dim > MAX_RANDOM_DIM and not allow_large_dim:
-        raise InputError(
-            f"random_system dimension {dim} exceeds the guard {MAX_RANDOM_DIM}; "
-            "pass allow_large_dim=True to override"
-        )
+    if dim > MAX_RANDOM_DIM:
+        raise InputError(f"random_system dimension {dim} exceeds the guard {MAX_RANDOM_DIM}")
     if not isinstance(arity, int) or arity < 2:
         raise InputError(f"bracket arity must be an integer >= 2, got {arity!r}")
     density = rat(density)
@@ -232,7 +222,7 @@ def random_system(
     )
     return AlgebraSystem(
         dim,
-        ProductTensor.from_entries(dim, cube),
+        ProductTensor(dim, cube),
         brackets={"b": SkewBracket(dim, arity, entries)},
         derivations={"d": matrix},
     )

@@ -16,7 +16,6 @@ from .axioms import CheckReport
 from .core import (
     AlgebraSystem,
     DerivationMatrix,
-    ElementVector,
     InputError,
     ProductTensor,
     SkewBracket,
@@ -158,11 +157,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
                 isinstance(value, list) and len(value) == dim,
                 f"{ewhere}.value must be a list of {dim} rationals",
             )
-            entries[key] = ElementVector(
-                tuple(
-                    _rational_at(v, f"{ewhere}.value[{k}]") for k, v in enumerate(value)
-                )
-            )
+            entries[key] = [_rational_at(v, f"{ewhere}.value[{k}]") for k, v in enumerate(value)]
         brackets[name] = SkewBracket(dim, arity, entries)
 
     derivations = {}

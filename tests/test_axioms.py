@@ -23,15 +23,7 @@ from tpnlie import (
     basis_vectors,
     binary_sweep_corpus,
     bracket_apply,
-    check_commutative_associative,
-    check_derivation,
-    check_filippov,
     check_identity,
-    check_lemma_identity,
-    check_np_identity,
-    check_scale_identity,
-    check_strong,
-    check_transposed_leibniz,
     formal_derivative,
     make_truncated_poly,
     multiply,
@@ -62,21 +54,23 @@ def corrupted_w4(w4):
 
 
 def test_w4_product_commutative_associative(w4):
-    comm, assoc = check_commutative_associative(w4.product)
+    comm = check_identity(I.COMM, product=w4.product)
+    assoc = check_identity(I.ASSOC, product=w4.product)
     assert comm.passed and comm.tuples_checked == 4**3
     assert assoc.passed and assoc.tuples_checked == 4**4
 
 
 def test_zero_product_commutative_associative():
-    comm, assoc = check_commutative_associative(ProductTensor.zero(3))
+    comm = check_identity(I.COMM, product=ProductTensor.zero(3))
+    assoc = check_identity(I.ASSOC, product=ProductTensor.zero(3))
     assert comm.passed and assoc.passed
 
 
 def test_constructed_asymmetry_fails_comm():
     cube = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
     cube[0][1][0] = Fraction(1)  # c[0][1][0] = 1 but c[1][0][0] = 0
-    p = ProductTensor.from_entries(2, cube)
-    comm, _ = check_commutative_associative(p)
+    p = ProductTensor(2, cube)
+    comm = check_identity(I.COMM, product=p)
     assert not comm.passed
     assert comm.counterexample == (0, 1, 0)
     assert comm.residual.coords == (Fraction(1), Fraction(0))
@@ -87,8 +81,8 @@ def test_nonassociative_product_fails_assoc():
     cube = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
     cube[1][1][0] = Fraction(1)
     cube[0][1][1] = cube[1][0][1] = Fraction(1)
-    p = ProductTensor.from_entries(2, cube)
-    _, assoc = check_commutative_associative(p)
+    p = ProductTensor(2, cube)
+    assoc = check_identity(I.ASSOC, product=p)
     assert not assoc.passed
 
 
@@ -97,19 +91,19 @@ def test_nonassociative_product_fails_assoc():
 
 
 def test_w4_bracket_satisfies_filippov(w4):
-    report = check_filippov(w4.brackets["b1"])
+    report = check_identity(I.NL, bracket=w4.brackets["b1"])
     assert report.passed
     assert report.tuples_checked == 4**3
 
 
 def test_zero_bracket_satisfies_filippov():
-    assert check_filippov(SkewBracket.zero(3, 3)).passed
+    assert check_identity(I.NL, bracket=SkewBracket.zero(3, 3)).passed
 
 
 def test_top_wedge_bracket_satisfies_filippov():
     # arity == dim: a single stored entry, both identity sides collapse
     b = SkewBracket(3, 3, {(0, 1, 2): ElementVector.from_coords((1, 2, 3))})
-    assert check_filippov(b).passed
+    assert check_identity(I.NL, bracket=b).passed
 
 
 def _first_failure_oracle(residual, shape):
@@ -123,7 +117,7 @@ def _first_failure_oracle(residual, shape):
 
 def test_corrupted_bracket_fails_filippov_at_lex_first(w4, corrupted_w4):
     bad = corrupted_w4.brackets["bad"]
-    report = check_filippov(bad)
+    report = check_identity(I.NL, bracket=bad)
     assert not report.passed
 
     def nl_residual(idx):
@@ -148,20 +142,20 @@ def test_corrupted_bracket_fails_filippov_at_lex_first(w4, corrupted_w4):
 
 
 def test_w4_transposed_leibniz(w4):
-    report = check_transposed_leibniz(w4.product, w4.brackets["b1"])
+    report = check_identity(I.TP, product=w4.product, bracket=w4.brackets["b1"])
     assert report.passed
     assert report.tuples_checked == 4**3
 
 
 def test_zero_bracket_transposed_leibniz(w4):
-    assert check_transposed_leibniz(w4.product, SkewBracket.zero(4, 2)).passed
+    assert check_identity(I.TP, product=w4.product, bracket=SkewBracket.zero(4, 2)).passed
 
 
 def test_scaled_entry_breaks_transposed_leibniz(w4):
     entries = dict(w4.brackets["b1"].entries)
     entries[(1, 2)] = entries[(1, 2)].scaled(2)
     scaled = SkewBracket(4, 2, entries)
-    report = check_transposed_leibniz(w4.product, scaled)
+    report = check_identity(I.TP, product=w4.product, bracket=scaled)
     assert not report.passed
 
     p = w4.product
@@ -180,7 +174,7 @@ def test_scaled_entry_breaks_transposed_leibniz(w4):
 
 
 def test_corrupted_bracket_fails_tp_at_lex_first(w4, corrupted_w4):
-    report = check_transposed_leibniz(w4.product, corrupted_w4.brackets["bad"])
+    report = check_identity(I.TP, product=w4.product, bracket=corrupted_w4.brackets["bad"])
     assert not report.passed
     # h = t: 2t[1, t^2] = 4 t^3 but [t*1, t^2] + [1, t*t^2] = t^2 + 3 t^3
     assert report.counterexample == (1, 0, 2)
@@ -198,34 +192,29 @@ def test_corrupted_bracket_fails_tp_at_lex_first(w4, corrupted_w4):
 
 def test_w4_np_identities_pass(w4):
     for which in (I.NP1, I.NP2, I.NP3, I.NP4):
-        assert check_np_identity(w4.product, w4.brackets["b1"], which).passed
-
-
-def test_np_identity_rejects_other_ids(w4):
-    with pytest.raises(InputError):
-        check_np_identity(w4.product, w4.brackets["b1"], I.STRONG)
+        assert check_identity(which, product=w4.product, bracket=w4.brackets["b1"]).passed
 
 
 def test_zero_bracket_np_identities(w4):
     zero = SkewBracket.zero(4, 3)
     for which in (I.NP1, I.NP2, I.NP3, I.NP4):
-        assert check_np_identity(w4.product, zero, which).passed
+        assert check_identity(which, product=w4.product, bracket=zero).passed
 
 
 def test_corrupted_bracket_fails_np4(w4, corrupted_w4):
-    report = check_np_identity(w4.product, corrupted_w4.brackets["bad"], I.NP4)
+    report = check_identity(I.NP4, product=w4.product, bracket=corrupted_w4.brackets["bad"])
     assert not report.passed
     assert report.counterexample == (0, 1, 0, 2)
 
 
 def test_w4_strong_and_scale(w4):
     # at arity 2 the strong condition follows from transposed Leibniz
-    assert check_strong(w4.product, w4.brackets["b1"]).passed
-    assert check_scale_identity(w4.product, w4.brackets["b1"]).passed
+    assert check_identity(I.STRONG, product=w4.product, bracket=w4.brackets["b1"]).passed
+    assert check_identity(I.SCALE, product=w4.product, bracket=w4.brackets["b1"]).passed
 
 
 def test_corrupted_bracket_fails_scale(w4, corrupted_w4):
-    report = check_scale_identity(w4.product, corrupted_w4.brackets["bad"])
+    report = check_identity(I.SCALE, product=w4.product, bracket=corrupted_w4.brackets["bad"])
     assert not report.passed
     assert report.counterexample == (1, 0, 1, 1)
 
@@ -259,7 +248,9 @@ def test_tuple_counts_match_quantifier_spaces(w4):
 
 
 def test_euler_is_a_derivation(w4):
-    dm, db = check_derivation(w4.product, w4.brackets["b1"], w4.derivations["euler"])
+    euler = w4.derivations["euler"]
+    dm = check_identity(I.DER_MUL, product=w4.product, derivation=euler)
+    db = check_identity(I.DER_BRK, bracket=w4.brackets["b1"], derivation=euler)
     assert dm.passed and dm.tuples_checked == 16
     assert db.passed and db.tuples_checked == 6
 
@@ -267,7 +258,9 @@ def test_euler_is_a_derivation(w4):
 def test_zero_map_is_a_derivation(w4):
     from tpnlie import DerivationMatrix
 
-    dm, db = check_derivation(w4.product, w4.brackets["b1"], DerivationMatrix.zero(4))
+    zero = DerivationMatrix.zero(4)
+    dm = check_identity(I.DER_MUL, product=w4.product, derivation=zero)
+    db = check_identity(I.DER_BRK, bracket=w4.brackets["b1"], derivation=zero)
     assert dm.passed and db.passed
 
 
@@ -292,7 +285,7 @@ def test_formal_derivative_fails_product_leibniz():
 def test_lemma_identities_hold_for_euler(w4):
     b, euler = w4.brackets["b1"], w4.derivations["euler"]
     for which in (I.LEM1, I.LEM2):
-        assert check_lemma_identity(w4.product, b, euler, which).passed
+        assert check_identity(which, product=w4.product, bracket=b, derivation=euler).passed
 
 
 def test_lemma_identities_negative_control(w4):
@@ -301,10 +294,12 @@ def test_lemma_identities_negative_control(w4):
     # hypotheses are sufficient, not necessary, so this records behavior
     # rather than asserting failure.
     dd = formal_derivative(4)
-    dm, db = check_derivation(w4.product, w4.brackets["b1"], dd)
+    b = w4.brackets["b1"]
+    dm = check_identity(I.DER_MUL, product=w4.product, derivation=dd)
+    db = check_identity(I.DER_BRK, bracket=b, derivation=dd)
     assert not dm.passed and not db.passed
     for which in (I.LEM1, I.LEM2):
-        report = check_lemma_identity(w4.product, w4.brackets["b1"], dd, which)
+        report = check_identity(which, product=w4.product, bracket=b, derivation=dd)
         assert report.passed
 
 
@@ -312,19 +307,13 @@ def test_lemma_identities_can_fail_for_arbitrary_maps(w4):
     # A generic non-derivation does break them, so the checkers are not vacuous.
     from tpnlie import DerivationMatrix
 
-    arbitrary = DerivationMatrix.from_entries(
-        4, [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 2, 0, 1]]
-    )
+    arbitrary = DerivationMatrix(4, [[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 2, 0, 1]])
+    b = w4.brackets["b1"]
     results = {
-        which: check_lemma_identity(w4.product, w4.brackets["b1"], arbitrary, which).passed
+        which: check_identity(which, product=w4.product, bracket=b, derivation=arbitrary).passed
         for which in (I.LEM1, I.LEM2)
     }
     assert not all(results.values())
-
-
-def test_lemma_rejects_other_ids(w4):
-    with pytest.raises(InputError):
-        check_lemma_identity(w4.product, w4.brackets["b1"], w4.derivations["euler"], I.NL)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +468,9 @@ def _random_components(draw):
     entries = draw(st.dictionaries(st.sampled_from(keys), vec)) if keys else {}
     matrix = draw(square)
     return (
-        ProductTensor.from_entries(d, cube),
+        ProductTensor(d, cube),
         SkewBracket(d, n, entries),
-        DerivationMatrix.from_entries(d, matrix),
+        DerivationMatrix(d, matrix),
     )
 
 
@@ -510,6 +499,47 @@ def test_sampled_verdict_agrees_on_pass_and_fail(w4, corrupted_w4):
 def test_sampled_verdict_requires_components(w4):
     with pytest.raises(InputError):
         sampled_verdict(I.TP, bracket=w4.brackets["b1"])
+
+
+# ---------------------------------------------------------------------------
+# the input boundary check_identity and sampled_verdict share
+
+
+@pytest.mark.parametrize("check", [check_identity, sampled_verdict])
+def test_boundary_rejects_what_is_not_an_identity_id(w4, check):
+    for identity in ("NL", None, 0):
+        with pytest.raises(InputError, match="not an identity id"):
+            check(identity, bracket=w4.brackets["b1"])
+
+
+@pytest.mark.parametrize("check", [check_identity, sampled_verdict])
+def test_boundary_rejects_swapped_components(w4, check):
+    b = w4.brackets["b1"]
+    with pytest.raises(InputError, match="NL: the bracket must be a SkewBracket"):
+        check(I.NL, bracket=w4.product)
+    with pytest.raises(InputError, match="TP: the product must be a ProductTensor"):
+        check(I.TP, product=b, bracket=b)
+    with pytest.raises(InputError, match="the derivation must be a DerivationMatrix"):
+        check(I.DER_MUL, product=w4.product, derivation=w4.product)
+    # A component the identity does not use must still have its type.
+    with pytest.raises(InputError, match="COMM: the bracket must be a SkewBracket"):
+        check(I.COMM, product=w4.product, bracket=w4.product)
+
+
+@pytest.mark.parametrize("check", [check_identity, sampled_verdict])
+def test_boundary_names_disagreeing_dimensions(w4, check):
+    with pytest.raises(InputError, match=r"DER_MUL: .* disagree \(product 4, derivation 3\)"):
+        check(I.DER_MUL, product=w4.product, derivation=DerivationMatrix.zero(3))
+    with pytest.raises(InputError, match=r"TP: .* disagree \(product 3, bracket 4\)"):
+        check(I.TP, product=ProductTensor.zero(3), bracket=w4.brackets["b1"])
+
+
+@pytest.mark.parametrize("samples", [0, -1, True, 2.0, "5"])
+def test_sampled_verdict_requires_a_positive_sample_count(corrupted_w4, samples):
+    # samples=0 used to return "pass" on this failing bracket, having evaluated nothing.
+    with pytest.raises(InputError, match="samples must be an integer >= 1"):
+        sampled_verdict(I.NL, bracket=corrupted_w4.brackets["bad"], samples=samples)
+    assert sampled_verdict(I.NL, bracket=corrupted_w4.brackets["bad"], samples=1) == "fail"
 
 
 # ---------------------------------------------------------------------------

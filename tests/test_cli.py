@@ -54,6 +54,15 @@ def test_check_unknown_identity(capsys):
     assert main(["check", W4, "--bracket", "b1", "--suite", "NOPE"]) == 2
 
 
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_empty_suite_is_input_error(capsys, suite):
+    # Exit 0 would claim that all checks passed when none ran.
+    assert main(["check", W4, "--bracket", "b1", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert "--suite" in captured.err and "names no identity" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_check_unknown_bracket(capsys):
     assert main(["check", W4, "--bracket", "nope"]) == 2
     assert "unknown bracket" in capsys.readouterr().err

@@ -310,6 +310,52 @@ def test_with_bracket_rejects_duplicates(w4):
     assert set(w4.brackets) == {"b1"}  # original untouched
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ProductTensor(1, (((0.5,),),)),
+        lambda: ProductTensor(1, (((True,),),)),
+        lambda: ProductTensor(True, (((1,),),)),
+        lambda: ProductTensor(1, 5),
+        lambda: DerivationMatrix(1, ((0.5,),)),
+        lambda: DerivationMatrix(2, ((1, False), (0, 1))),
+        lambda: SkewBracket(2, 2, {(0, 1): ElementVector((0.5, 0.0))}),
+        lambda: SkewBracket(2, 2, {(0, 1): (1, True)}),
+        lambda: SkewBracket(2, 2, {(0, 1): 1}),
+    ],
+    ids=[
+        "product-float", "product-bool", "product-bool-dim", "product-scalar",
+        "derivation-float", "derivation-bool", "bracket-float-vector", "bracket-bool",
+        "bracket-scalar",
+    ],
+)
+def test_constructors_reject_inexact_or_malformed_constants(build):
+    # A float or bool cannot be saved and loaded back as the same rational.
+    with pytest.raises(InputError):
+        build()
+
+
+def test_constructors_store_tuples_of_fractions():
+    half = Fraction(1, 2)
+    p = ProductTensor(1, [[["1/2"]]])
+    assert p.c == (((half,),),) and type(p.c[0][0][0]) is Fraction
+    m = DerivationMatrix(2, [[1, 0], ["0", half]])
+    assert m.m == ((1, 0), (0, half)) and isinstance(m.m[0], tuple)
+    assert all(type(v) is Fraction for row in m.m for v in row)
+    b = SkewBracket(2, 2, {(0, 1): ElementVector((1, 0))})
+    assert all(type(c) is Fraction for c in b.entries[(0, 1)].coords)
+
+
+def test_system_requires_string_names(w4):
+    b, euler = w4.brackets["b1"], w4.derivations["euler"]
+    with pytest.raises(InputError, match="bracket name 1 must be a string"):
+        AlgebraSystem(4, w4.product, {1: b})
+    with pytest.raises(InputError, match="derivation name"):
+        AlgebraSystem(4, w4.product, {"b": b}, {("d",): euler})
+    with pytest.raises(InputError, match="is a ProductTensor, not a SkewBracket"):
+        AlgebraSystem(4, w4.product, {"b": w4.product})
+
+
 def test_product_shape_validation():
     zero = Fraction(0)
     with pytest.raises(InputError):

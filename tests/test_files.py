@@ -5,13 +5,21 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnlie import (
+    AlgebraSystem,
+    DerivationMatrix,
+    ElementVector,
     IdentityId,
     InputError,
+    ProductTensor,
+    SkewBracket,
     check_identity,
     load_system,
     make_truncated_poly,
@@ -61,6 +69,85 @@ def test_round_trip_preserves_rationals(tmp_path):
     path = tmp_path / "sys.json"
     save_system(rebuilt, path)
     assert load_system(path) == rebuilt
+
+
+# ---------------------------------------------------------------------------
+# anything the constructors accept survives save -> load
+
+
+_exact = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=4),
+    st.fractions(-3, 3, max_denominator=4).map(str),
+)
+
+
+def _seq(elements, size):
+    # Lists and tuples alike: what the constructors store must not depend on it.
+    items = st.lists(elements, min_size=size, max_size=size)
+    return st.one_of(items, items.map(tuple))
+
+
+@st.composite
+def _constructed_systems(draw):
+    d = draw(st.integers(1, 3))
+    product = ProductTensor(d, draw(_seq(_seq(_seq(_exact, d), d), d)))
+    brackets = {}
+    for name in draw(st.lists(st.text(max_size=3), max_size=2, unique=True)):
+        n = draw(st.integers(2, 3))
+        keys = list(combinations(range(d), n))
+        value = _seq(_exact, d) | _seq(_exact, d).map(ElementVector)
+        entries = draw(st.dictionaries(st.sampled_from(keys), value)) if keys else {}
+        brackets[name] = SkewBracket(d, n, entries)
+    derivations = {
+        name: DerivationMatrix(d, draw(_seq(_seq(_exact, d), d)))
+        for name in draw(st.lists(st.text(max_size=3), max_size=2, unique=True))
+    }
+    labels = draw(st.none() | _seq(st.text(max_size=3), d))
+    return AlgebraSystem(d, product, brackets, derivations, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_constructed_systems())
+def test_constructed_systems_survive_save_and_load(tmp_path_factory, system):
+    path = tmp_path_factory.getbasetemp() / "constructed.json"
+    save_system(system, path)
+    first = path.read_bytes()
+    loaded = load_system(path)
+    assert loaded == system
+    save_system(loaded, path)
+    assert path.read_bytes() == first
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.sampled_from(["product", "derivation", "bracket", "vector"]),
+    st.floats() | st.booleans(),
+)
+def test_constructors_reject_floats_and_bools_anywhere(d, where, bad):
+    value = [0] * (d - 1) + [bad]
+    zeros = [[0] * d] * (d - 1)
+    build = {
+        "product": lambda: ProductTensor(d, [zeros + [value]] * d),
+        "derivation": lambda: DerivationMatrix(d, zeros + [value]),
+        "bracket": lambda: SkewBracket(d, 2, {(0, 1): value}),
+        "vector": lambda: SkewBracket(d, 2, {(0, 1): ElementVector(tuple(value))}),
+    }[where]
+    with pytest.raises(InputError):
+        build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers() | st.none() | st.binary() | st.tuples(st.text()), st.booleans())
+def test_system_rejects_names_that_are_not_strings(name, as_derivation):
+    product = ProductTensor.zero(2)
+    if as_derivation:
+        with pytest.raises(InputError, match="derivation name"):
+            AlgebraSystem(2, product, {}, {name: DerivationMatrix.zero(2)})
+    else:
+        with pytest.raises(InputError, match="bracket name"):
+            AlgebraSystem(2, product, {name: SkewBracket.zero(2, 2)})
 
 
 def test_save_is_byte_deterministic(tmp_path, tp22):
