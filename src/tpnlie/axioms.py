@@ -21,15 +21,16 @@ all the same (see ``check_identity``).
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
-``sampled_verdict`` share.  The scan then evaluates residuals with a private
-kernel over tables of the components the identity uses (product rows, D
-columns, bracket entries), on sparse vectors and without per-call checks.
-An integral structure constant is held as an ``int`` and any other as a
-``Fraction``, so the arithmetic stays exact.  Each identity is transcribed
-once, as a function of an ops record; ``sampled_verdict`` runs the same
-transcription through the public, validating ``multiply``, ``bracket_apply``
-and ``DerivationMatrix.apply`` and so stays an oracle independent of the
-kernel.
+``sampled_verdict`` share.  The scan then evaluates residuals on sparse
+vectors, without per-call checks, with a private kernel that alone owns
+its tables: it builds them from the dense constants of the components the
+identity uses.  An integral constant is held as an ``int`` and any other
+as a ``Fraction``, so the arithmetic stays exact.  Each identity is
+transcribed once, as a function of an ops record (COMM and ASSOC too, on
+element pairs and triples, reported at the residual's first nonzero
+coordinate); ``sampled_verdict`` runs the same transcription through the
+public, validating ``multiply``, ``bracket_apply`` and
+``DerivationMatrix.apply`` and so stays an oracle independent of the kernel.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
+    _listed,
     _sorted_sign,
     bracket_apply,
     multiply,
@@ -285,12 +287,12 @@ def _res_lem2(ops, e):
     return acc
 
 
-def _res_comm_sample(ops, e):
+def _res_comm(ops, e):
     x, y = e
     return ops.mul(x, y) - ops.mul(y, x)
 
 
-def _res_assoc_sample(ops, e):
+def _res_assoc(ops, e):
     x, y, z = e
     return ops.mul(ops.mul(x, y), z) - ops.mul(x, ops.mul(y, z))
 
@@ -374,15 +376,15 @@ def _exact(value: Fraction):
     return value.numerator if value.denominator == 1 else value
 
 
-def _pairs(pairs) -> tuple:
-    return tuple((k, _exact(c)) for k, c in pairs)
+def _pairs(coords) -> tuple:
+    return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
 
 
 def _kernel_ops(definition, p, b, D, n: int) -> _Ops:
     """Table-driven ops over ``_Vec``s, built from the components used only."""
     mul = brk = der = None
     if definition.needs_product:
-        rows = [[_pairs(cell) for cell in row] for row in p._rows]
+        rows = [[_pairs(cell) for cell in row] for row in p.c]
 
         def mul(x, y):
             if not y:
@@ -397,7 +399,7 @@ def _kernel_ops(definition, p, b, D, n: int) -> _Ops:
             return _nonzero(acc) if acc else _ZERO_VEC
 
     if definition.needs_bracket:
-        table = {key: _pairs(value.support()) for key, value in b.entries.items()}
+        table = {key: _pairs(value.coords) for key, value in b.entries.items()}
         signed = {}
 
         def lookup(idx):
@@ -424,7 +426,7 @@ def _kernel_ops(definition, p, b, D, n: int) -> _Ops:
             return _nonzero(acc) if acc else _ZERO_VEC
 
     if definition.needs_derivation:
-        cols = [_pairs(col) for col in D._cols]
+        cols = [_pairs(col) for col in zip(*D.m)]
 
         def der(x):
             acc = {}
@@ -449,9 +451,9 @@ class _IdentityDef:
     needs_derivation: bool
     blocks: Callable[[int], tuple[tuple[int, bool], ...]]
     residual: Callable
-    # COMM and ASSOC scan the coefficient tuples (i, j, k) / (i, j, l, k) of
-    # the product tensor: the leading indices name the elements ``residual``
-    # takes, and the last one the coordinate of their residual.
+    # COMM and ASSOC report on the coefficient tuples (i, j, k) / (i, j, l, k)
+    # of the product tensor: a failing tuple of elements gains the first
+    # nonzero coordinate k of its residual.
     coordinate: bool = False
     # DER_BRK is defined on strictly increasing tuples and counts only those.
     increasing_only: bool = False
@@ -495,10 +497,10 @@ _DEFS: dict[IdentityId, _IdentityDef] = {
         True, True, True, lambda n: ((n + 1, True),), _res_lem2
     ),
     IdentityId.COMM: _IdentityDef(
-        True, False, False, lambda n: ((3, False),), _res_comm_sample, coordinate=True
+        True, False, False, lambda n: ((2, False),), _res_comm, coordinate=True
     ),
     IdentityId.ASSOC: _IdentityDef(
-        True, False, False, lambda n: ((4, False),), _res_assoc_sample, coordinate=True
+        True, False, False, lambda n: ((3, False),), _res_assoc, coordinate=True
     ),
 }
 
@@ -512,32 +514,6 @@ def _lex_rank(idx: tuple[int, ...], d: int) -> int:
     for v in idx:
         rank = rank * d + v
     return rank
-
-
-def _evaluator(definition: _IdentityDef, ops: _Ops, d: int):
-    """The residual of one identity as a function of a basis index tuple."""
-    basis = [_Vec({t: 1}) for t in range(d)]
-    residual = definition.residual
-    if not definition.coordinate:
-
-        def ev(idx):
-            return residual(ops, tuple([basis[t] for t in idx]))
-
-        return ev
-    # Consecutive lex tuples share their leading indices, so the residual
-    # vector of the current prefix is kept.
-    prefix = [None, None]
-
-    def ev(idx):
-        head = idx[:-1]
-        if head != prefix[0]:
-            prefix[0] = head
-            prefix[1] = residual(ops, tuple([basis[t] for t in head]))
-        k = idx[-1]
-        c = prefix[1].get(k)
-        return _Vec({k: c}) if c else _ZERO_VEC
-
-    return ev
 
 
 def _scan(d: int, blocks, eval_fn):
@@ -617,14 +593,20 @@ def check_identity(
 
     start = time.perf_counter()
     ops = _kernel_ops(definition, product, bracket, derivation, n)
-    visited, ce, res = _scan(d, blocks, _evaluator(definition, ops, d))
+    basis = [_Vec({t: 1}) for t in range(d)]
+    visited, ce, res = _scan(
+        d, blocks, lambda idx: definition.residual(ops, tuple([basis[t] for t in idx]))
+    )
     if res is not None:
+        if definition.coordinate:
+            k = min(res)
+            ce, res = ce + (k,), {k: res[k]}
         res = ElementVector(tuple(Fraction(res.get(k, 0)) for k in range(d)))
     elapsed = time.perf_counter() - start
     if definition.increasing_only:
         checked = visited
     elif ce is None:
-        checked = d ** sum(size for size, _ in blocks)
+        checked = d ** (sum(size for size, _ in blocks) + definition.coordinate)
     else:
         checked = _lex_rank(ce, d) + 1
     status = "pass" if ce is None else "fail"
@@ -651,10 +633,10 @@ def run_suite(
             i for i in IdentityId if derivation is not None or not _DEFS[i].needs_derivation
         ]
     else:
-        ids = set(ids)
+        ids = _listed(ids, "ids")
         for i in ids:
             if not isinstance(i, IdentityId):
-                raise InputError(f"not an identity id: {i!r}")
+                raise InputError(f"ids: not an identity id: {i!r}")
             if _DEFS[i].needs_derivation and derivation is None:
                 raise InputError(f"{i.name} requires a derivation name")
         wanted = [i for i in IdentityId if i in ids]
@@ -691,7 +673,7 @@ def sampled_verdict(
     """Evaluate one identity on seeded random element tuples: "pass" or "fail"."""
     definition, d, n = _boundary(identity, product, bracket, derivation, samples)
     ops = _public_ops(product, bracket, derivation, d, n)
-    count = sum(size for size, _ in definition.blocks(n)) - definition.coordinate
+    count = sum(size for size, _ in definition.blocks(n))
     rng = random.Random(seed)
     for _ in range(samples):
         elems = tuple(_random_vector(d, rng) for _ in range(count))

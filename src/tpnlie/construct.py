@@ -25,6 +25,7 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
+    _listed,
     multiply,
 )
 
@@ -128,7 +129,7 @@ def build_tower(
     construction always continues through all steps.
     """
     current = system.bracket(seed_bracket_name)
-    maps = [system.derivation(name) for name in derivation_names]
+    maps = [system.derivation(name) for name in _listed(derivation_names, "derivation_names")]
     steps: list[TowerStep] = []
     for k, matrix in enumerate(maps):
         current = extend_bracket(system.product, current, matrix)

@@ -8,11 +8,11 @@ construction and may be shared freely across threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Rational",
@@ -44,6 +44,19 @@ def _dimension(d) -> int:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise InputError(f"dimension must be a positive integer, got {d!r}")
     return d
+
+
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{what} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _listed(values, what: str) -> list:
+    # A string is iterable too, but would be read by character.
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InputError(f"{what} must be a list, got {type(values).__name__}")
+    return list(values)
 
 
 def _rationals(entries, depth: int, what: str) -> tuple:
@@ -145,6 +158,13 @@ def zero_vector(dim: int) -> ElementVector:
     return ElementVector((_ZERO,) * dim)
 
 
+def _accumulated(acc: list) -> ElementVector:
+    # ``acc`` started as [_ZERO] * d, and count() matches the coordinates no
+    # term reached by identity: far cheaper than any() on Fractions.
+    d = len(acc)
+    return zero_vector(d) if acc.count(_ZERO) == d else ElementVector(tuple(acc))
+
+
 @lru_cache(maxsize=None)
 def basis_vectors(dim: int) -> tuple[ElementVector, ...]:
     """The standard basis e_0, ..., e_{dim-1}, cached per dimension."""
@@ -189,7 +209,6 @@ class ProductTensor:
 
     dim: int
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = _dimension(self.dim)
@@ -197,14 +216,6 @@ class ProductTensor:
         if len(c) != d or any(len(p) != d or any(len(row) != d for row in p) for p in c):
             raise InputError(f"product tensor must be {d}x{d}x{d}")
         object.__setattr__(self, "c", c)
-        rows = tuple(
-            tuple(
-                tuple((k, v) for k, v in enumerate(c[i][j]) if v)
-                for j in range(d)
-            )
-            for i in range(d)
-        )
-        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def zero(cls, dim: int) -> "ProductTensor":
@@ -217,34 +228,14 @@ def multiply(product: ProductTensor, x: ElementVector, y: ElementVector) -> Elem
     d = product.dim
     if x.dim != d or y.dim != d:
         raise InputError(f"multiply: operands must have dimension {d}")
-    xs, ys = x.support(), y.support()
-    if not xs or not ys:
-        return zero_vector(d)
     acc = [_ZERO] * d
-    rows = product._rows
-    touched = False
-    for i, xi in xs:
-        row = rows[i]
-        for j, yj in ys:
-            cell = row[j]
-            if not cell:
-                continue
-            touched = True
-            if xi == 1:
-                w = yj
-            elif yj == 1:
-                w = xi
-            else:
-                w = xi * yj
-            if w == 1:
-                for k, ck in cell:
-                    acc[k] += ck
-            else:
-                for k, ck in cell:
-                    acc[k] += w if ck == 1 else w * ck
-    if not touched:
-        return zero_vector(d)
-    return ElementVector(tuple(acc))
+    for i, xi in x.support():
+        for j, yj in y.support():
+            w = xi * yj
+            for k, ck in enumerate(product.c[i][j]):
+                if ck:
+                    acc[k] += w * ck
+    return _accumulated(acc)
 
 
 @dataclass(frozen=True)
@@ -265,10 +256,8 @@ class SkewBracket:
         d, n = _dimension(self.dim), self.arity
         if not isinstance(n, int) or n < 2:
             raise InputError(f"bracket arity must be an integer >= 2, got {n!r}")
-        # Every key is checked before the keys are sorted: sorting keys of
-        # mixed types would raise a bare TypeError.
-        keyed = {}
-        for key, value in self.entries.items():
+        clean: dict[tuple[int, ...], ElementVector] = {}
+        for key, value in _mapping(self.entries, "bracket entries").items():
             try:
                 key = tuple(key)
             except TypeError:
@@ -281,20 +270,17 @@ class SkewBracket:
                 raise InputError(f"bracket key {key} needs integer indices in 0..{d - 1}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise InputError(f"bracket key {key}: indices not strictly increasing")
-            keyed[key] = value
-        clean: dict[tuple[int, ...], ElementVector] = {}
-        for key in sorted(keyed):
-            value = keyed[key]
-            # ElementVector() checks nothing, so only one of Fractions is kept.
-            if not isinstance(value, ElementVector):
-                value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))
-            elif not all(isinstance(c, Fraction) for c in value.coords):
-                value = ElementVector(_rationals(value.coords, 1, f"bracket value for {key}"))
+            # ElementVector() checks nothing, so its coordinates are coerced too.
+            if isinstance(value, ElementVector):
+                value = value.coords
+            value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))
             if value.dim != d:
                 raise InputError(f"bracket value for {key} must have length {d}")
             if not value.is_zero():
                 clean[key] = value
-        object.__setattr__(self, "entries", clean)
+        # Sorted only now that every key is checked: sorting keys of mixed
+        # types would raise a bare TypeError.
+        object.__setattr__(self, "entries", dict(sorted(clean.items())))
 
     @classmethod
     def zero(cls, dim: int, arity: int) -> "SkewBracket":
@@ -308,37 +294,18 @@ def bracket_apply(bracket: SkewBracket, args: Sequence[ElementVector]) -> Elemen
         raise InputError(f"bracket of arity {n} applied to {len(args)} arguments")
     if any(a.dim != d for a in args):
         raise InputError(f"bracket arguments must have dimension {d}")
-    entries = bracket.entries
-    if not entries:
-        return zero_vector(d)
-    supports = [a.support() for a in args]
-    if any(not s for s in supports):
-        return zero_vector(d)
     acc = [_ZERO] * d
-    touched = False
-    for combo in iproduct(*supports):
+    for combo in iproduct(*(a.support() for a in args)):
         key, sign = _sorted_sign([i for i, _ in combo])
-        if sign == 0:
-            continue
-        value = entries.get(key)
+        value = bracket.entries.get(key) if sign else None
         if value is None:
             continue
-        touched = True
-        w = _ONE
+        w = _ONE if sign > 0 else -_ONE  # an int times a Fraction is the slow path
         for _, coeff in combo:
-            if coeff != 1:
-                w = w * coeff if w != 1 else coeff
-        if sign < 0:
-            w = -w
-        if w == 1:
-            for k, vk in value.support():
-                acc[k] += vk
-        else:
-            for k, vk in value.support():
-                acc[k] += w if vk == 1 else w * vk
-    if not touched:
-        return zero_vector(d)
-    return ElementVector(tuple(acc))
+            w *= coeff
+        for k, vk in value.support():
+            acc[k] += w * vk
+    return _accumulated(acc)
 
 
 @dataclass(frozen=True)
@@ -351,7 +318,6 @@ class DerivationMatrix:
 
     dim: int
     m: tuple[tuple[Fraction, ...], ...]
-    _cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = _dimension(self.dim)
@@ -359,8 +325,6 @@ class DerivationMatrix:
         if len(m) != d or any(len(row) != d for row in m):
             raise InputError(f"derivation matrix must be {d}x{d}")
         object.__setattr__(self, "m", m)
-        cols = tuple(tuple((k, m[k][j]) for k in range(d) if m[k][j]) for j in range(d))
-        object.__setattr__(self, "_cols", cols)
 
     @classmethod
     def zero(cls, dim: int) -> "DerivationMatrix":
@@ -370,11 +334,11 @@ class DerivationMatrix:
         if x.dim != self.dim:
             raise InputError(f"derivation applied to vector of wrong dimension")
         acc = [_ZERO] * self.dim
-        cols = self._cols
         for j, xj in x.support():
-            for k, mkj in cols[j]:
-                acc[k] += mkj * xj
-        return ElementVector(tuple(acc))
+            for k, row in enumerate(self.m):
+                if row[j]:
+                    acc[k] += row[j] * xj
+        return _accumulated(acc)
 
     def column(self, j: int) -> ElementVector:
         """D(e_j) as a vector."""
@@ -407,7 +371,7 @@ class AlgebraSystem:
             ("bracket", self.brackets, SkewBracket),
             ("derivation", self.derivations, DerivationMatrix),
         ):
-            for name, part in parts.items():
+            for name, part in _mapping(parts, kind + "s").items():
                 # Names are saved as JSON object keys, which are strings.
                 if not isinstance(name, str):
                     raise InputError(f"{kind} name {name!r} must be a string")
@@ -417,7 +381,7 @@ class AlgebraSystem:
                 if part.dim != d:
                     raise InputError(f"{kind} {name!r} has dimension {part.dim}, system has {d}")
         if self.basis_labels is not None:
-            labels = tuple(str(s) for s in self.basis_labels)
+            labels = tuple(str(s) for s in _listed(self.basis_labels, "basis_labels"))
             if len(labels) != d:
                 raise InputError(f"expected {d} basis labels, got {len(labels)}")
             object.__setattr__(self, "basis_labels", labels)
@@ -427,14 +391,14 @@ class AlgebraSystem:
     def bracket(self, name: str) -> SkewBracket:
         try:
             return self.brackets[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(sorted(self.brackets)) or "none"
             raise InputError(f"unknown bracket {name!r} (available: {known})") from None
 
     def derivation(self, name: str) -> DerivationMatrix:
         try:
             return self.derivations[name]
-        except KeyError:
+        except (KeyError, TypeError):
             known = ", ".join(sorted(self.derivations)) or "none"
             raise InputError(f"unknown derivation {name!r} (available: {known})") from None
 

@@ -329,6 +329,7 @@ def test_run_suite_full_canonical_order(w4):
 
 def test_run_suite_empty_ids(w4):
     assert run_suite(w4, "b1", "euler", ids=set()) == []
+    assert run_suite(w4, "b1", "euler", ids=[]) == []
 
 
 def test_run_suite_subset_keeps_canonical_order(w4):
@@ -336,9 +337,32 @@ def test_run_suite_subset_keeps_canonical_order(w4):
     assert [r.identity for r in reports] == [I.NL, I.DER_BRK, I.COMM]
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ("NL", "ids must be a list, got str"),
+        (I.NL, "ids must be a list, got IdentityId"),
+        (5, "ids must be a list, got int"),
+        ([["NL"]], r"ids: not an identity id: \['NL'\]"),
+        (["NL"], "ids: not an identity id: 'NL'"),
+    ],
+    ids=["str", "identity-id", "int", "unhashable-element", "str-element"],
+)
+def test_run_suite_rejects_ids_that_are_not_a_list_of_identity_ids(w4, ids, message):
+    # A string would be read by character, and each element is checked
+    # before it is hashed.
+    with pytest.raises(InputError, match=message):
+        run_suite(w4, "b1", None, ids)
+
+
 def test_run_suite_unknown_bracket(w4):
     with pytest.raises(InputError):
         run_suite(w4, "nope")
+    # an unhashable name is an unknown name, not a bare TypeError
+    with pytest.raises(InputError, match=r"unknown bracket \['b1'\]"):
+        run_suite(w4, ["b1"])
+    with pytest.raises(InputError, match=r"unknown derivation \['euler'\]"):
+        run_suite(w4, "b1", ["euler"])
 
 
 def test_run_suite_derivation_id_without_derivation(w4):
@@ -391,7 +415,7 @@ def full_cube_report(identity, product=None, bracket=None, derivation=None):
     d = next(obj.dim for obj in (product, bracket, derivation) if obj is not None)
     ops = public_ops(product, bracket, derivation, d)
     basis = basis_vectors(d)
-    length = sum(size for size, _ in definition.blocks(ops.n))
+    length = sum(size for size, _ in definition.blocks(ops.n)) + definition.coordinate
     head = None
     for rank, idx in enumerate(iproduct(range(d), repeat=length)):
         if definition.coordinate:

@@ -220,3 +220,18 @@ def test_tower_unknown_names(tp22):
         build_tower(tp22, "nope", ["d2"])
     with pytest.raises(InputError):
         build_tower(tp22, "b_d1", ["nope"])
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("euler", "derivation_names must be a list, got str"),
+        (5, "derivation_names must be a list, got int"),
+        ([["euler"]], r"unknown derivation \['euler'\] \(available: euler\)"),
+    ],
+    ids=["str", "int", "unhashable-element"],
+)
+def test_tower_rejects_names_that_are_not_a_list_of_strings(w4, names, message):
+    # A string would be read by character ("unknown derivation 'e'").
+    with pytest.raises(InputError, match=message):
+        build_tower(w4, "b1", names)

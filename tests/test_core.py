@@ -237,6 +237,9 @@ def test_bracket_rejects_bad_keys():
         SkewBracket(3, 2, {(0, "a"): vec(1, 0, 0), (0, 1): vec(1, 0, 0)})
     with pytest.raises(InputError, match="tuple of 2 indices"):
         SkewBracket(3, 2, {5: vec(1, 0, 0), (0, 1): vec(1, 0, 0)})
+    # a list of (key, value) pairs where the mapping belongs
+    with pytest.raises(InputError, match="bracket entries must be a mapping, got list"):
+        SkewBracket(2, 2, [((0, 1), (1, 0))])
 
 
 def test_bracket_drops_zero_values():
@@ -344,6 +347,12 @@ def test_constructors_store_tuples_of_fractions():
     assert all(type(v) is Fraction for row in m.m for v in row)
     b = SkewBracket(2, 2, {(0, 1): ElementVector((1, 0))})
     assert all(type(c) is Fraction for c in b.entries[(0, 1)].coords)
+    # ElementVector() checks nothing, so a list of Fractions must become a
+    # tuple too: hashable, and equal after a save and a load.
+    listed = SkewBracket(3, 2, {(0, 2): ElementVector([Fraction(0), Fraction(0), Fraction(1)])})
+    value = listed.entries[(0, 2)]
+    assert value.coords == (0, 0, 1) and type(value.coords) is tuple
+    assert hash(value) == hash(ElementVector((Fraction(0), Fraction(0), Fraction(1))))
 
 
 def test_system_requires_string_names(w4):
@@ -354,6 +363,15 @@ def test_system_requires_string_names(w4):
         AlgebraSystem(4, w4.product, {"b": b}, {("d",): euler})
     with pytest.raises(InputError, match="is a ProductTensor, not a SkewBracket"):
         AlgebraSystem(4, w4.product, {"b": w4.product})
+    # lists where a mapping or a list of labels belongs name the argument
+    with pytest.raises(InputError, match="brackets must be a mapping, got list"):
+        AlgebraSystem(4, w4.product, [("b", b)])
+    with pytest.raises(InputError, match="derivations must be a mapping, got list"):
+        AlgebraSystem(4, w4.product, {"b": b}, [("d", euler)])
+    with pytest.raises(InputError, match="basis_labels must be a list, got int"):
+        AlgebraSystem(4, w4.product, {"b": b}, basis_labels=5)
+    with pytest.raises(InputError, match="basis_labels must be a list, got str"):
+        AlgebraSystem(4, w4.product, {"b": b}, basis_labels="1tuv")
 
 
 def test_product_shape_validation():
