@@ -23,9 +23,15 @@ all the same (see ``check_identity``).
 Inputs are validated once, at the boundary that ``check_identity`` and
 ``sampled_verdict`` share.  The scan then evaluates residuals on sparse
 vectors, without per-call checks, with a private kernel that alone owns
-its tables: it builds them from the dense constants of the components the
-identity uses.  An integral constant is held as an ``int`` and any other
-as a ``Fraction``, so the arithmetic stays exact.  Each identity is
+its tables: it reads each product cell, ``D`` column and bracket value of
+the components the identity uses from their dense constants on first use.
+An integral constant is held as an ``int`` and any other as a
+``Fraction``, so the arithmetic stays exact.  The kernel's ops memoise
+inner terms such as ``h*[y_i, x..]`` across tuples, for one
+``check_identity`` call: a basis vector is keyed by its index, a stored
+result by a fresh int, and a result is stored only when its arguments are
+keyed and use fewer quantified elements than the tuple has, which bounds
+the memo by the terms of shorter tuples.  Each identity is
 transcribed once, as a function of an ops record (COMM and ASSOC too, on
 element pairs and triples, reported at the residual's first nonzero
 coordinate); ``sampled_verdict`` runs the same transcription through the
@@ -39,9 +45,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from itertools import product as iproduct
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .core import (
@@ -300,8 +308,9 @@ def _res_assoc(ops, e):
 # ---------------------------------------------------------------------------
 # The ops the residuals run on.  ``_public_ops`` goes through the validating
 # ``multiply``, ``bracket_apply`` and ``DerivationMatrix.apply``.
-# ``_kernel_ops`` evaluates over tables that ``check_identity`` builds once,
-# after its boundary checks, so nothing is validated per tuple.
+# ``_kernel_ops`` evaluates over tables and a memo that live for one
+# ``check_identity`` call, after its boundary checks, so nothing is validated
+# per tuple.
 
 
 @dataclass(frozen=True)
@@ -324,9 +333,15 @@ def _public_ops(p, b, D, d: int, n: int) -> _Ops:
 
 
 class _Vec(dict):
-    """A kernel vector: basis index -> nonzero coefficient; never mutated once built."""
+    """A kernel vector: basis index -> nonzero coefficient; never mutated once built.
+
+    A sum, a negation, a ``scaled`` result and an op result the memo did not
+    store are plain ``_Vec``s, whose ``key`` is None: an op applied to one is
+    computed and never stored.
+    """
 
     __slots__ = ()
+    key = None
 
     def __add__(self, other):
         if not other:
@@ -361,14 +376,22 @@ class _Vec(dict):
         return _Vec({k: a * v for k, v in self.items()})
 
 
+class _Keyed(_Vec):
+    """A kernel vector with a memo key: a basis vector or a stored op result."""
+
+    __slots__ = ("key",)
+
+
+def _keyed(items, key) -> _Keyed:
+    vec = _Keyed(items)
+    vec.key = key
+    return vec
+
+
+# The ops are multilinear, so each returns this shared zero, unmemoised,
+# as soon as one argument is zero.
 _ZERO_VEC = _Vec()
-
-
-def _nonzero(acc: dict) -> _Vec:
-    # ``acc`` without its cancelled entries; the ops call it on nonempty ones.
-    if 0 in acc.values():
-        return _Vec({k: v for k, v in acc.items() if v})
-    return _Vec(acc)
+_key = attrgetter("key")
 
 
 def _exact(value: Fraction):
@@ -380,62 +403,121 @@ def _pairs(coords) -> tuple:
     return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
 
 
-def _kernel_ops(definition, p, b, D, n: int) -> _Ops:
-    """Table-driven ops over ``_Vec``s, built from the components used only."""
+def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]]:
+    """Table-driven, memoised ops over ``_Vec``s, and the basis they start from.
+
+    Tables are read from the components' dense constants cell by cell, on
+    first use.  Each op memoises its results on its arguments' keys: a basis
+    vector's key is its index and a stored result gets a fresh int.  A result
+    is stored only when every argument has a key and together they use fewer
+    of the tuple's ``m`` quantified elements (leaves) than all of them; one
+    that uses every leaf rarely recurs, and storing it would grow the memo
+    with the number of tuples.
+    """
+    m = sum(size for size, _ in definition.blocks(n))
+    leaves = dict.fromkeys(range(d), 1)
+    fresh = count(d)
+
+    def keep(memo, key, parts, acc):
+        # The op's value from its accumulator, stored under ``key`` when the
+        # leaf rule allows; ``parts`` are the arguments' keys (an unkeyed
+        # argument counts as every leaf).
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        used = m if None in parts else sum(map(leaves.__getitem__, parts))
+        if used >= m:
+            return _Vec(acc) if acc else _ZERO_VEC
+        if acc:
+            value = _keyed(acc, next(fresh))
+            leaves[value.key] = used
+        else:
+            value = _ZERO_VEC
+        memo[key] = value
+        return value
+
     mul = brk = der = None
     if definition.needs_product:
-        rows = [[_pairs(cell) for cell in row] for row in p.c]
+        c = p.c
+        cells = [[None] * d for _ in range(d)]
+        products = {}
 
         def mul(x, y):
-            if not y:
+            if not x or not y:
                 return _ZERO_VEC
+            key = (x.key, y.key)
+            value = products.get(key)
+            if value is not None:
+                return value
             acc = {}
             for i, xi in x.items():
-                row = rows[i]
+                row = cells[i]
                 for j, yj in y.items():
+                    cell = row[j]
+                    if cell is None:
+                        cell = row[j] = _pairs(c[i][j])
                     w = xi * yj
-                    for k, c in row[j]:
-                        acc[k] = acc.get(k, 0) + w * c
-            return _nonzero(acc) if acc else _ZERO_VEC
+                    for k, ck in cell:
+                        acc[k] = acc.get(k, 0) + w * ck
+            return keep(products, key, key, acc)
 
     if definition.needs_bracket:
-        table = {key: _pairs(value.coords) for key, value in b.entries.items()}
+        entries = b.entries
         signed = {}
+        brackets = {}
 
         def lookup(idx):
             # [e_i1, .., e_in] for any index order, filled in on first use.
             key, sign = _sorted_sign(idx)
-            value = table.get(key, ()) if sign else ()
+            value = entries.get(key) if sign else None
+            pairs = () if value is None else _pairs(value.coords)
             if sign < 0:
-                value = tuple((k, -c) for k, c in value)
-            signed[idx] = value
-            return value
+                pairs = tuple((k, -ck) for k, ck in pairs)
+            signed[idx] = pairs
+            return pairs
 
         def brk(args):
+            if not all(args):
+                return _ZERO_VEC
+            key = tuple(map(_key, args))
+            value = brackets.get(key)
+            if value is not None:
+                return value
             acc = {}
             for idx in iproduct(*args):
-                value = signed.get(idx)
-                if value is None:
-                    value = lookup(idx)
-                if value:
+                pairs = signed.get(idx)
+                if pairs is None:
+                    pairs = lookup(idx)
+                if pairs:
                     w = 1
                     for a, i in zip(args, idx):
                         w *= a[i]
-                    for k, c in value:
-                        acc[k] = acc.get(k, 0) + w * c
-            return _nonzero(acc) if acc else _ZERO_VEC
+                    for k, ck in pairs:
+                        acc[k] = acc.get(k, 0) + w * ck
+            return keep(brackets, key, key, acc)
 
     if definition.needs_derivation:
-        cols = [_pairs(col) for col in zip(*D.m)]
+        rows = D.m
+        cols = [None] * d
+        images = {}
 
         def der(x):
+            if not x:
+                return _ZERO_VEC
+            key = x.key
+            value = images.get(key)
+            if value is not None:
+                return value
             acc = {}
             for j, xj in x.items():
-                for k, c in cols[j]:
-                    acc[k] = acc.get(k, 0) + xj * c
-            return _nonzero(acc) if acc else _ZERO_VEC
+                col = cols[j]
+                if col is None:
+                    col = cols[j] = _pairs([row[j] for row in rows])
+                for k, ck in col:
+                    acc[k] = acc.get(k, 0) + xj * ck
+            return keep(images, key, (key,), acc)
 
-    return _Ops(mul, brk, der, _ZERO_VEC, n)
+    basis = [_keyed({t: 1}, t) for t in range(d)]
+    return _Ops(mul, brk, der, _ZERO_VEC, n), basis
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +598,25 @@ def _lex_rank(idx: tuple[int, ...], d: int) -> int:
     return rank
 
 
-def _scan(d: int, blocks, eval_fn):
+def _scan(basis, blocks, eval_fn):
     """Walk the canonical tuples in lex order up to the first nonzero residual.
 
-    A skew block runs over strictly increasing index runs and a plain block
-    over all of them; the product of lex-ordered block iterators is itself
-    lex-ordered.  Returns (tuples visited, first failing tuple, residual),
-    the last two None on a pass.
+    A skew block runs over strictly increasing runs of basis vectors and a
+    plain block over all of them; the product of lex-ordered block iterators
+    is itself lex-ordered.  Returns (tuples visited, first failing tuple of
+    elements, residual), the last two None on a pass.
     """
     parts = [
-        combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
+        combinations(basis, size) if skew else iproduct(basis, repeat=size)
         for size, skew in blocks
     ]
     visited = 0
     for combo in iproduct(*parts):
-        idx = tuple(chain.from_iterable(combo))
+        elems = tuple(chain.from_iterable(combo))
         visited += 1
-        res = eval_fn(idx)
+        res = eval_fn(elems)
         if res:
-            return visited, idx, res
+            return visited, elems, res
     return visited, None, None
 
 
@@ -592,16 +674,14 @@ def check_identity(
     blocks = definition.blocks(n)
 
     start = time.perf_counter()
-    ops = _kernel_ops(definition, product, bracket, derivation, n)
-    basis = [_Vec({t: 1}) for t in range(d)]
-    visited, ce, res = _scan(
-        d, blocks, lambda idx: definition.residual(ops, tuple([basis[t] for t in idx]))
-    )
+    ops, basis = _kernel_ops(definition, product, bracket, derivation, d, n)
+    visited, ce, res = _scan(basis, blocks, partial(definition.residual, ops))
     if res is not None:
+        ce = tuple(map(_key, ce))  # a basis vector's key is its index
         if definition.coordinate:
             k = min(res)
             ce, res = ce + (k,), {k: res[k]}
-        res = ElementVector(tuple(Fraction(res.get(k, 0)) for k in range(d)))
+        res = ElementVector(tuple(res.get(k, 0) for k in range(d)))
     elapsed = time.perf_counter() - start
     if definition.increasing_only:
         checked = visited

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from itertools import repeat
 
 __all__ = [
     "Rational",
@@ -94,9 +95,16 @@ class ElementVector:
 
     coords: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        # Coordinates go through ``rat`` like every constructor's constants,
+        # except a tuple of Fractions: what the core ops build, many times.
+        coords = self.coords
+        if type(coords) is not tuple or not all(map(isinstance, coords, repeat(Fraction))):
+            object.__setattr__(self, "coords", _rationals(coords, 1, "vector coordinates"))
+
     @classmethod
     def from_coords(cls, coords: Iterable) -> "ElementVector":
-        return cls(tuple(rat(c) for c in coords))
+        return cls(coords)
 
     @classmethod
     def zero(cls, dim: int) -> "ElementVector":
@@ -270,7 +278,6 @@ class SkewBracket:
                 raise InputError(f"bracket key {key} needs integer indices in 0..{d - 1}")
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise InputError(f"bracket key {key}: indices not strictly increasing")
-            # ElementVector() checks nothing, so its coordinates are coerced too.
             if isinstance(value, ElementVector):
                 value = value.coords
             value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from itertools import product as iproduct
 from math import comb
 from types import SimpleNamespace
@@ -24,7 +26,9 @@ from tpnlie import (
     binary_sweep_corpus,
     bracket_apply,
     check_identity,
+    extend_bracket,
     formal_derivative,
+    make_tensor_trunc,
     make_truncated_poly,
     multiply,
     random_system,
@@ -506,6 +510,96 @@ def test_canonical_scan_matches_full_cube_on_random_inputs(components, ident):
     assert report == full_cube_report(ident, p, b, D)
     # A failing identity is nonzero at all but a thin set of random points.
     assert sampled_verdict(ident, p, b, D, samples=10) == report.status
+
+
+def _lower_unitriangular(d, rng):
+    return [[1 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(d)] for i in range(d)]
+
+
+def _inverse_lower_unitriangular(L):
+    inv = []
+    for i, row in enumerate(L):
+        inv.append([int(i == j) - sum(row[k] * inv[k][j] for k in range(i)) for j in range(len(L))])
+    return inv
+
+
+def _rebased(product, bracket, derivation, seed):
+    """The same algebra in the basis of the columns of P = A * B^T.
+
+    A and B are random integer lower-unitriangular matrices, so P is
+    unimodular: the constants stay integers, nearly all of them nonzero,
+    and every identity keeps its verdict.
+    """
+    d = product.dim
+    rng = random.Random(seed)
+    A, B = _lower_unitriangular(d, rng), _lower_unitriangular(d, rng)
+    Ai, Bi = _inverse_lower_unitriangular(A), _inverse_lower_unitriangular(B)
+    P = [[sum(a * b for a, b in zip(row, col)) for col in B] for row in A]
+    inv = [[sum(a * b for a, b in zip(col, row)) for row in zip(*Ai)] for col in zip(*Bi)]
+    new = [ElementVector(tuple(col)) for col in zip(*P)]
+
+    def coords(v):  # v in the new basis
+        return tuple(sum(a * c for a, c in zip(row, v.coords)) for row in inv)
+
+    cube = [[coords(multiply(product, x, y)) for y in new] for x in new]
+    entries = {
+        key: coords(bracket_apply(bracket, [new[t] for t in key]))
+        for key in combinations(range(d), bracket.arity)
+    }
+    images = [coords(derivation.apply(x)) for x in new]
+    return (
+        ProductTensor(d, cube),
+        SkewBracket(d, bracket.arity, entries),
+        DerivationMatrix(d, list(zip(*images))),
+    )
+
+
+def _dense_extension(a, b, seed):
+    """The arity-3 extension of make_tensor_trunc(a, b) by d2, rebased."""
+    t = make_tensor_trunc(a, b)
+    extension = extend_bracket(t.product, t.bracket("b_d1"), t.derivation("d2"))
+    return _rebased(t.product, extension, t.derivation("d2"), seed)
+
+
+def test_kernel_matches_full_cube_on_dense_passing_and_late_failing_inputs():
+    # The memo only pays on a dense system, and only a late failure runs
+    # many memo hits before the counterexample.
+    p, b, D = _dense_extension(2, 2, seed=1)
+    values = [b.entries.get(key, ElementVector.zero(4)) for key in combinations(range(4), 3)]
+    constants = [c for cell in chain(*p.c) for c in cell] + [c for v in values for c in v.coords]
+    assert all(constants)
+    assert all(r.passed for r in _compare_with_oracle(p, b, D))
+
+    entries = dict(b.entries)
+    x, y, *rest = entries[max(entries)].coords
+    entries[max(entries)] = (x, y + 1, *rest)
+    reports = _compare_with_oracle(p, SkewBracket(4, 3, entries), D)
+    np2 = next(r for r in reports if r.identity is I.NP2)
+    # NP2 passes the whole h = e_0 slab of the cube before it fails.
+    assert not np2.passed and np2.tuples_checked > 4**5
+
+    # e_3 * e_2 != e_2 * e_3: a memo that confused x*y with y*x would miss it.
+    cube = [[list(cell) for cell in row] for row in p.c]
+    cube[3][2][3] += 1
+    skewed = ProductTensor(4, cube)
+    for ident in (I.TP, I.NP4, I.STRONG, I.SCALE, I.COMM, I.ASSOC):
+        report = check_identity(ident, product=skewed, bracket=b)
+        assert not report.passed and report == full_cube_report(ident, skewed, b), ident.name
+
+
+def test_memo_memory_stays_bounded_on_a_dense_passing_system():
+    # Results that use every quantified element are recomputed, not stored;
+    # storing them made this NP2 scan peak at 2.0 MB instead of 0.54 MB
+    # (Python 3.11).
+    p, b, _ = _dense_extension(2, 3, seed=5)
+    tracemalloc.start()
+    try:
+        report = check_identity(I.NP2, product=p, bracket=b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.tuples_checked == 6**6
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

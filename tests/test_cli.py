@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpnlie import load_system
 from tpnlie.cli import main
@@ -94,6 +98,87 @@ def test_check_non_canonical_rational_is_input_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "derivations['euler'][1][1]" in err and "'2/2'" in err
     assert "Traceback" not in err
+
+
+def _paths(node, prefix=()):
+    """Every node below a parsed JSON value, as a path of keys and indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+W4_DOC = json.loads(Path(W4).read_text())
+REMOVE = "<remove>"  # delete the key, or drop the list element
+
+
+def _still_well_formed(path, new):
+    """The mutations of w4.json that leave a system `check --suite NL` accepts."""
+    rational = path[0] in ("product", "derivations") and len(path) == 4 or path[-2:-1] == ("value",)
+    return (
+        (rational and new == -1)
+        or (path[0] == "basis" and len(path) == 2 and new == "x")
+        or (path == ("basis",) and new in (REMOVE, None))
+        or (path in (("derivations",), ("derivations", "euler")) and new == REMOVE)
+        or (path == ("derivations",) and new == {})
+        or (path == ("brackets", "b1", "entries") and new in (REMOVE, []))
+        or (path[:3] == ("brackets", "b1", "entries") and len(path) == 4 and new == REMOVE)
+    )
+
+
+def _names(path):
+    """How an error message may name the node at ``path`` or one above it."""
+    head, *rest = path
+    names, text = [f"'{head}'"], head
+    for step, part in enumerate(rest):
+        if isinstance(part, int):
+            text += f"[{part}]"
+        elif step == 0:
+            text += f"[{part!r}]"
+        else:
+            text += f".{part}"
+        names.append(text)
+    if path in (("brackets",), ("brackets", "b1")):
+        names.append("unknown bracket 'b1'")
+    return names
+
+
+@pytest.fixture(scope="module")
+def mutation_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations") / "w4.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path=st.sampled_from(list(_paths(W4_DOC))),
+    new=st.sampled_from([REMOVE, None, True, 1.5, "x", [], {}, -1]),
+)
+def test_check_malformed_file_is_input_error_naming_the_location(mutation_file, path, new):
+    doc = json.loads(json.dumps(W4_DOC))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if new == REMOVE:
+        del node[last]
+    else:
+        node[last] = new
+    mutation_file.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["check", str(mutation_file), "--bracket", "b1", "--suite", "NL"])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if _still_well_formed(path, new):
+        assert code in (0, 1), err
+    else:
+        assert code == 2
+        assert any(name in err for name in _names(path)), (path, err)
 
 
 def test_check_json_output_stable(capsys):

@@ -325,11 +325,13 @@ def test_with_bracket_rejects_duplicates(w4):
         lambda: SkewBracket(2, 2, {(0, 1): ElementVector((0.5, 0.0))}),
         lambda: SkewBracket(2, 2, {(0, 1): (1, True)}),
         lambda: SkewBracket(2, 2, {(0, 1): 1}),
+        lambda: ElementVector((1.5, 0, 0, 0)),
+        lambda: ElementVector([Fraction(1), True]),
     ],
     ids=[
         "product-float", "product-bool", "product-bool-dim", "product-scalar",
         "derivation-float", "derivation-bool", "bracket-float-vector", "bracket-bool",
-        "bracket-scalar",
+        "bracket-scalar", "vector-float", "vector-bool",
     ],
 )
 def test_constructors_reject_inexact_or_malformed_constants(build):
@@ -347,12 +349,15 @@ def test_constructors_store_tuples_of_fractions():
     assert all(type(v) is Fraction for row in m.m for v in row)
     b = SkewBracket(2, 2, {(0, 1): ElementVector((1, 0))})
     assert all(type(c) is Fraction for c in b.entries[(0, 1)].coords)
-    # ElementVector() checks nothing, so a list of Fractions must become a
-    # tuple too: hashable, and equal after a save and a load.
+    # A list of Fractions must become a tuple too: hashable, and equal after
+    # a save and a load.
     listed = SkewBracket(3, 2, {(0, 2): ElementVector([Fraction(0), Fraction(0), Fraction(1)])})
     value = listed.entries[(0, 2)]
     assert value.coords == (0, 0, 1) and type(value.coords) is tuple
     assert hash(value) == hash(ElementVector((Fraction(0), Fraction(0), Fraction(1))))
+    vector = ElementVector([Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
+    assert vector == ElementVector((1, 0, 0, 0)) and hash(vector) == hash(vector)
+    assert all(type(c) is Fraction for c in ElementVector((1, "1/2")).coords)
 
 
 def test_system_requires_string_names(w4):
