@@ -26,6 +26,7 @@ from .core import (
     ProductTensor,
     SkewBracket,
     _listed,
+    basis_vectors,
     multiply,
 )
 
@@ -44,7 +45,7 @@ def derivation_bracket(product: ProductTensor, derivation: DerivationMatrix) -> 
     d = product.dim
     if derivation.dim != d:
         raise InputError(f"derivation has dimension {derivation.dim}, product has {d}")
-    basis = [ElementVector.basis(d, i) for i in range(d)]
+    basis = basis_vectors(d)
     dcols = [derivation.column(j) for j in range(d)]
     entries = {}
     for i, j in combinations(range(d), 2):

@@ -353,10 +353,6 @@ class DerivationMatrix:
             raise InputError(f"column index {j} out of range")
         return ElementVector(tuple(self.m[k][j] for k in range(self.dim)))
 
-    def scaled(self, a) -> "DerivationMatrix":
-        a = rat(a)
-        return DerivationMatrix(self.dim, tuple(tuple(a * v for v in row) for row in self.m))
-
 
 @dataclass(frozen=True)
 class AlgebraSystem:

@@ -10,7 +10,7 @@ fundamental or transposed Leibniz identities when the strong condition fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +19,6 @@ from .construct import derivation_bracket, extend_bracket
 from .core import (
     AlgebraSystem,
     DerivationMatrix,
-    ElementVector,
     InputError,
     ProductTensor,
     SkewBracket,
@@ -53,18 +52,20 @@ def _monomial_label(exponents: list[tuple[str, int]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _ring_size(m) -> int:
+    if not isinstance(m, int) or m < 2:
+        raise InputError(f"truncated polynomial ring needs integer m >= 2, got {m!r}")
+    return m
+
+
 def make_truncated_poly(m: int) -> AlgebraSystem:
     """Q[t]/(t^m) with basis e_k = t^k, the Euler map t*d/dt, and its bracket.
 
     The bracket "b1" is the binary bootstrap from the Euler derivation
     "euler" (so [e_i, e_j] = (j - i) e_{i+j}, zero once i + j >= m).
     """
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"truncated polynomial ring needs integer m >= 2, got {m!r}")
-    cube = [
-        [[Fraction(1) if i + j == k else Fraction(0) for k in range(m)] for j in range(m)]
-        for i in range(m)
-    ]
+    m = _ring_size(m)
+    cube = [[[1 if i + j == k else 0 for k in range(m)] for j in range(m)] for i in range(m)]
     product = ProductTensor(m, cube)
     euler = poly_derivation(m, [1])
     labels = tuple(_monomial_label([("t", k)]) for k in range(m))
@@ -84,10 +85,9 @@ def poly_derivation(m: int, coeffs) -> DerivationMatrix:
     truncation ideal, so every such matrix is a genuine derivation of the
     product.  D(e_j) = j * sum_r a_r e_{j-1+r}, truncated at degree m.
     """
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"truncated polynomial ring needs integer m >= 2, got {m!r}")
+    m = _ring_size(m)
     a = [rat(c) for c in coeffs]
-    cols = [[Fraction(0)] * m for _ in range(m)]
+    cols = [[0] * m for _ in range(m)]
     for j in range(m):
         for r, ar in enumerate(a, start=1):
             k = j - 1 + r
@@ -104,12 +104,8 @@ def formal_derivative(m: int) -> DerivationMatrix:
     D(e_1 e_{m-1}) = D(0) = 0 but the Leibniz side gives m * e_{m-1}.
     Useful as a negative control.
     """
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"truncated polynomial ring needs integer m >= 2, got {m!r}")
-    rows = [
-        [Fraction(j) if k == j - 1 else Fraction(0) for j in range(m)]
-        for k in range(m)
-    ]
+    m = _ring_size(m)
+    rows = [[j if k == j - 1 else 0 for j in range(m)] for k in range(m)]
     return DerivationMatrix(m, rows)
 
 
@@ -174,13 +170,21 @@ def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSyste
     strictly increasing tuples at all then).  Every bracket identity holds
     by inspection.
     """
-    if not isinstance(arity, int) or arity < 2:
-        raise InputError(f"bracket arity must be an integer >= 2, got {arity!r}")
     return AlgebraSystem(
         product.dim,
         product,
         brackets={"zero": SkewBracket.zero(product.dim, arity)},
     )
+
+
+def _random_bracket(rng: random.Random, dim: int, arity: int, threshold: float) -> SkewBracket:
+    # Per increasing tuple: one coin, then the dim numerators of a kept value.
+    entries = {
+        key: [rng.randint(-3, 3) for _ in range(dim)]
+        for key in combinations(range(dim), arity)
+        if rng.random() < threshold
+    }
+    return SkewBracket(dim, arity, entries)
 
 
 def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
@@ -209,22 +213,10 @@ def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
                 v = Fraction(rng.randint(-3, 3))
                 cube[i][j][k] = v
                 cube[j][i][k] = v
-    threshold = float(density)
-    entries = {}
-    for key in combinations(range(dim), arity):
-        if rng.random() < threshold:
-            value = ElementVector(tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)))
-            if not value.is_zero():
-                entries[key] = value
-    matrix = DerivationMatrix(
-        dim,
-        tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)) for _ in range(dim)),
-    )
+    bracket = _random_bracket(rng, dim, arity, float(density))
+    matrix = DerivationMatrix(dim, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
     return AlgebraSystem(
-        dim,
-        ProductTensor(dim, cube),
-        brackets={"b": SkewBracket(dim, arity, entries)},
-        derivations={"d": matrix},
+        dim, ProductTensor(dim, cube), brackets={"b": bracket}, derivations={"d": matrix}
     )
 
 
@@ -379,6 +371,20 @@ def _nonzero_rational(rng: random.Random) -> Fraction:
     return Fraction(num, rng.choice((1, 1, 2)))
 
 
+def _instance(
+    label: str, base: AlgebraSystem, bracket: SkewBracket, derivation: DerivationMatrix
+) -> CorpusInstance:
+    # A family's product and labels with bracket "b" and derivation "d".
+    system = AlgebraSystem(
+        base.dim,
+        base.product,
+        brackets={"b": bracket},
+        derivations={"d": derivation},
+        basis_labels=base.basis_labels,
+    )
+    return CorpusInstance(label, system, "b", "d")
+
+
 def _trunc_instances(rng: random.Random):
     ms = (2, 3, 4, 5, 6, 7)
     k = 0
@@ -393,21 +399,21 @@ def _trunc_instances(rng: random.Random):
                 coeffs[r] = Fraction(rng.randint(-3, 3))
         matrix = poly_derivation(m, coeffs)
         base = make_truncated_poly(m)
-        system = AlgebraSystem(
-            m,
-            base.product,
-            brackets={"b": derivation_bracket(base.product, matrix)},
-            derivations={"d": matrix},
-            basis_labels=base.basis_labels,
-        )
-        yield CorpusInstance(f"truncpoly(m={m})#{k}", system, "b", "d")
+        bracket = derivation_bracket(base.product, matrix)
+        yield _instance(f"truncpoly(m={m})#{k}", base, bracket, matrix)
 
 
-def _tensor_pair(rng: random.Random):
-    alpha, beta = rng.randint(-2, 2), rng.randint(-2, 2)
-    if alpha == 0 and beta == 0:
-        alpha = 1
-    return alpha, beta
+def _tensor_parts(rng: random.Random, a: int, b: int):
+    """make_tensor_trunc(a, b), the bracket bootstrapped from one random
+    diagonal derivation, and a second one, which commutes with the first."""
+    base = make_tensor_trunc(a, b)
+    maps = []
+    for _ in range(2):
+        alpha, beta = rng.randint(-2, 2), rng.randint(-2, 2)
+        if alpha == 0 and beta == 0:
+            alpha = 1
+        maps.append(tensor_diagonal_derivation(a, b, alpha, beta))
+    return base, derivation_bracket(base.product, maps[0]), maps[1]
 
 
 def _tensor_instances(rng: random.Random):
@@ -416,31 +422,13 @@ def _tensor_instances(rng: random.Random):
     while True:
         a, b = shapes[k % len(shapes)]
         k += 1
-        base = make_tensor_trunc(a, b)
-        alpha, beta = _tensor_pair(rng)
-        gamma, delta = _tensor_pair(rng)
-        builder = tensor_diagonal_derivation(a, b, alpha, beta)
-        second = tensor_diagonal_derivation(a, b, gamma, delta)
-        system = AlgebraSystem(
-            a * b,
-            base.product,
-            brackets={"b": derivation_bracket(base.product, builder)},
-            derivations={"d": second},  # commutes with the builder
-            basis_labels=base.basis_labels,
-        )
-        yield CorpusInstance(f"tensor({a},{b})#{k}", system, "b", "d")
+        base, bracket, second = _tensor_parts(rng, a, b)
+        yield _instance(f"tensor({a},{b})#{k}", base, bracket, second)
 
 
-def _zero_instance(m: int, tag: str) -> CorpusInstance:
+def _zero_instance(m: int, k: int) -> CorpusInstance:
     base = make_truncated_poly(m)
-    system = AlgebraSystem(
-        m,
-        base.product,
-        brackets={"b": SkewBracket.zero(m, 2)},
-        derivations={"d": base.derivations["euler"]},
-        basis_labels=base.basis_labels,
-    )
-    return CorpusInstance(f"zero(m={m}){tag}", system, "b", "d")
+    return _instance(f"zero(m={m})#{k}", base, SkewBracket.zero(m, 2), base.derivations["euler"])
 
 
 def _passes(system: AlgebraSystem, idents) -> bool:
@@ -464,60 +452,32 @@ def _misc_instances(rng: random.Random):
         k += 1
         phase = k % 3
         if phase == 0:
-            yield _zero_instance(2 + k % 4, f"#{k}")
-            continue
-        if phase == 1:
+            yield _zero_instance(2 + k % 4, k)
+        elif phase == 1:
             # random skew bracket over a known-good product
             m = 2 + k % 3
             base = make_truncated_poly(m)
-            found = None
+            euler = base.derivations["euler"]
             for _ in range(8):
-                sub = random.Random(rng.getrandbits(32))
-                entries = {}
-                for key in combinations(range(m), 2):
-                    if sub.random() < 0.5:
-                        vec = ElementVector(
-                            tuple(Fraction(sub.randint(-3, 3)) for _ in range(m))
-                        )
-                        if not vec.is_zero():
-                            entries[key] = vec
-                candidate = AlgebraSystem(
-                    m,
-                    base.product,
-                    brackets={"b": SkewBracket(m, 2, entries)},
-                    derivations={"d": base.derivations["euler"]},
-                    basis_labels=base.basis_labels,
-                )
-                if _passes(candidate, (IdentityId.NL, IdentityId.TP)):
-                    found = candidate
+                bracket = _random_bracket(random.Random(rng.getrandbits(32)), m, 2, 0.5)
+                inst = _instance(f"randbracket(m={m})#{k}", base, bracket, euler)
+                if _passes(inst.system, (IdentityId.NL, IdentityId.TP)):
+                    if not _passes(inst.system, (IdentityId.DER_BRK,)):
+                        inst = replace(inst, derivation_name=None)
+                    yield inst
                     break
-            if found is None:
-                yield _zero_instance(2 + k % 3, f"#{k}")
-                continue
-            der = found.derivation("d")
-            ok = check_identity(
-                IdentityId.DER_BRK, bracket=found.bracket("b"), derivation=der
-            ).passed
-            yield CorpusInstance(f"randbracket(m={m})#{k}", found, "b", "d" if ok else None)
-            continue
-        # fully random system, hypothesis-filtered
-        found = None
-        for _ in range(8):
-            candidate = random_system(2, 2, rng.choice((0, Fraction(1, 2))), rng.getrandbits(32))
-            if _passes(candidate, _HYPOTHESES):
-                found = candidate
-                break
-        if found is None:
-            yield _zero_instance(2 + k % 4, f"#{k}")
-            continue
-        der = found.derivation("d")
-        ok = all(
-            check_identity(
-                i, product=found.product, bracket=found.bracket("b"), derivation=der
-            ).passed
-            for i in (IdentityId.DER_MUL, IdentityId.DER_BRK)
-        )
-        yield CorpusInstance(f"random#{k}", found, "b", "d" if ok else None)
+            else:
+                yield _zero_instance(2 + k % 3, k)
+        else:
+            # fully random system, hypothesis-filtered
+            for _ in range(8):
+                system = random_system(2, 2, rng.choice((0, Fraction(1, 2))), rng.getrandbits(32))
+                if _passes(system, _HYPOTHESES):
+                    ok = _passes(system, (IdentityId.DER_MUL, IdentityId.DER_BRK))
+                    yield CorpusInstance(f"random#{k}", system, "b", "d" if ok else None)
+                    break
+            else:
+                yield _zero_instance(2 + k % 4, k)
 
 
 def binary_sweep_corpus(seed: int = 0, count: int = 108) -> list[CorpusInstance]:
@@ -552,45 +512,18 @@ def ternary_sweep_corpus(seed: int = 0, count: int = 24) -> list[CorpusInstance]
         which = k % (len(shapes) + 2)
         if which < len(shapes):
             a, b = shapes[which]
-            base = make_tensor_trunc(a, b)
-            alpha, beta = _tensor_pair(rng)
-            gamma, delta = _tensor_pair(rng)
-            builder = tensor_diagonal_derivation(a, b, alpha, beta)
-            second = tensor_diagonal_derivation(a, b, gamma, delta)
-            binary = derivation_bracket(base.product, builder)
+            base, binary, second = _tensor_parts(rng, a, b)
             mu3 = extend_bracket(base.product, binary, second)
-            system = AlgebraSystem(
-                a * b,
-                base.product,
-                brackets={"b": mu3},
-                derivations={"d": second},
-                basis_labels=base.basis_labels,
-            )
-            out.append(CorpusInstance(f"tensor({a},{b})-ext#{k}", system, "b", "d"))
-        elif which == len(shapes):
-            m = 3 + k % 3
-            base = make_truncated_poly(m)
-            system = AlgebraSystem(
-                m,
-                base.product,
-                brackets={"b": SkewBracket.zero(m, 3)},
-                derivations={"d": base.derivations["euler"]},
-                basis_labels=base.basis_labels,
-            )
-            out.append(CorpusInstance(f"zero3(m={m})#{k}", system, "b", "d"))
+            out.append(_instance(f"tensor({a},{b})-ext#{k}", base, mu3, second))
+            continue
+        m = 3 + k % 3
+        base = make_truncated_poly(m)
+        euler = base.derivations["euler"]
+        if which == len(shapes):
+            out.append(_instance(f"zero3(m={m})#{k}", base, SkewBracket.zero(m, 3), euler))
         else:
             # Extending the Euler bracket by Euler again cancels exactly,
             # giving a legal all-zero arity-3 instance.
-            m = 3 + k % 3
-            base = make_truncated_poly(m)
-            euler = base.derivations["euler"]
             mu3 = extend_bracket(base.product, base.brackets["b1"], euler)
-            system = AlgebraSystem(
-                m,
-                base.product,
-                brackets={"b": mu3},
-                derivations={"d": euler},
-                basis_labels=base.basis_labels,
-            )
-            out.append(CorpusInstance(f"collapsed(m={m})#{k}", system, "b", "d"))
+            out.append(_instance(f"collapsed(m={m})#{k}", base, mu3, euler))
     return out

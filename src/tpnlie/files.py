@@ -77,6 +77,19 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _table(node, depth: int, dim: int, where: str, name: str | None = None) -> tuple:
+    """``node`` as ``depth`` nested levels of ``dim``-long lists of rationals,
+    returned as tuples.  ``where`` locates it in messages; ``name``, if
+    given, is how the message about ``node`` itself names it."""
+    _require(
+        isinstance(node, list) and len(node) == dim,
+        f"{name or where} must be a {dim}-long list",
+    )
+    if depth == 1:
+        return tuple(_rational_at(v, f"{where}[{k}]") for k, v in enumerate(node))
+    return tuple(_table(v, depth - 1, dim, f"{where}[{k}]") for k, v in enumerate(node))
+
+
 def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     """Validate and build a system from parsed JSON.  Shape validation only;
     axiom checks are explicit commands, never implicit in loading."""
@@ -88,7 +101,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     )
 
     labels = data.get("basis")
-    if labels is not None:
+    if "basis" in data:
         _require(
             isinstance(labels, list) and len(labels) == dim
             and all(isinstance(s, str) for s in labels),
@@ -96,28 +109,8 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
         )
         labels = tuple(labels)
 
-    cube = data.get("product")
-    _require(isinstance(cube, list) and len(cube) == dim, f"{source}: 'product' must be a {dim}-long list")
-    parsed_cube = []
-    for i, plane in enumerate(cube):
-        _require(
-            isinstance(plane, list) and len(plane) == dim,
-            f"{source}: product[{i}] must be a {dim}-long list",
-        )
-        parsed_plane = []
-        for j, row in enumerate(plane):
-            _require(
-                isinstance(row, list) and len(row) == dim,
-                f"{source}: product[{i}][{j}] must be a {dim}-long list",
-            )
-            parsed_plane.append(
-                tuple(
-                    _rational_at(v, f"{source}: product[{i}][{j}][{k}]")
-                    for k, v in enumerate(row)
-                )
-            )
-        parsed_cube.append(tuple(parsed_plane))
-    product = ProductTensor(dim, tuple(parsed_cube))
+    cube = _table(data.get("product"), 3, dim, f"{source}: product", f"{source}: 'product'")
+    product = ProductTensor(dim, cube)
 
     brackets = {}
     raw_brackets = data.get("brackets", {})
@@ -152,33 +145,15 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
                 f"{ewhere}.indices not strictly increasing",
             )
             _require(key not in entries, f"{ewhere}: duplicate indices {list(key)}")
-            value = entry.get("value")
-            _require(
-                isinstance(value, list) and len(value) == dim,
-                f"{ewhere}.value must be a list of {dim} rationals",
-            )
-            entries[key] = [_rational_at(v, f"{ewhere}.value[{k}]") for k, v in enumerate(value)]
+            entries[key] = _table(entry.get("value"), 1, dim, f"{ewhere}.value")
         brackets[name] = SkewBracket(dim, arity, entries)
 
     derivations = {}
     raw_derivations = data.get("derivations", {})
     _require(isinstance(raw_derivations, dict), f"{source}: 'derivations' must be an object")
     for name, matrix in raw_derivations.items():
-        where = f"{source}: derivations[{name!r}]"
-        _require(
-            isinstance(matrix, list) and len(matrix) == dim,
-            f"{where} must be a {dim}x{dim} matrix",
-        )
-        rows = []
-        for k, row in enumerate(matrix):
-            _require(
-                isinstance(row, list) and len(row) == dim,
-                f"{where}[{k}] must be a {dim}-long list",
-            )
-            rows.append(
-                tuple(_rational_at(v, f"{where}[{k}][{j}]") for j, v in enumerate(row))
-            )
-        derivations[name] = DerivationMatrix(dim, tuple(rows))
+        rows = _table(matrix, 2, dim, f"{source}: derivations[{name!r}]")
+        derivations[name] = DerivationMatrix(dim, rows)
 
     return AlgebraSystem(dim, product, brackets, derivations, labels)
 

@@ -123,7 +123,7 @@ def _still_well_formed(path, new):
     return (
         (rational and new == -1)
         or (path[0] == "basis" and len(path) == 2 and new == "x")
-        or (path == ("basis",) and new in (REMOVE, None))
+        or (path == ("basis",) and new == REMOVE)
         or (path in (("derivations",), ("derivations", "euler")) and new == REMOVE)
         or (path == ("derivations",) and new == {})
         or (path == ("brackets", "b1", "entries") and new in (REMOVE, []))

@@ -129,10 +129,10 @@ def test_extension_matches_determinant_oracle():
 
 def test_extension_linear_in_derivation(tp22):
     scale = Fraction(3, 2)
-    base = extend_bracket(tp22.product, tp22.brackets["b_d1"], tp22.derivations["d2"])
-    scaled = extend_bracket(
-        tp22.product, tp22.brackets["b_d1"], tp22.derivations["d2"].scaled(scale)
-    )
+    d2 = tp22.derivations["d2"]
+    base = extend_bracket(tp22.product, tp22.brackets["b_d1"], d2)
+    scaled_d2 = DerivationMatrix(4, [[scale * v for v in row] for row in d2.m])
+    scaled = extend_bracket(tp22.product, tp22.brackets["b_d1"], scaled_d2)
     assert set(scaled.entries) == set(base.entries)
     for key, value in base.entries.items():
         assert scaled.entries[key] == value.scaled(scale)

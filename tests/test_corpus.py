@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -22,6 +24,7 @@ from tpnlie import (
     run_suite,
     ternary_sweep_corpus,
 )
+from tpnlie.files import dumps_system
 
 I = IdentityId
 
@@ -111,6 +114,12 @@ def test_zero_bracket_system_passes_suite(w4):
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("arity", [1, "x", True, 2.0])
+def test_zero_bracket_system_rejects_bad_arity(w4, arity):
+    with pytest.raises(InputError, match="bracket arity must be an integer >= 2"):
+        make_zero_bracket_system(w4.product, arity)
+
+
 def test_zero_bracket_system_arity_above_dim(w4):
     system = make_zero_bracket_system(w4.product, 5)
     assert system.brackets["zero"].entries == {}
@@ -195,6 +204,26 @@ def test_ternary_corpus_arities():
     corpus = ternary_sweep_corpus(1, 12)
     assert len(corpus) == 12
     assert all(inst.bracket.arity == 3 for inst in corpus)
+
+
+# Moving, adding or dropping one random draw, or changing one construction,
+# changes this digest: update it only for a deliberate change of the streams.
+CORPUS_STREAMS_SHA256 = "e8b68d9eca49c909ab57c983e70274a7612af73b3c485e2d219c75683730a9ac"
+
+
+def test_corpus_streams_are_pinned():
+    digest = hashlib.sha256()
+
+    def put(text):
+        digest.update(text.encode() + b"\0")
+
+    for inst in binary_sweep_corpus(0, 112) + ternary_sweep_corpus(0, 24):
+        put(inst.label)
+        put(str(inst.derivation_name))
+        put(dumps_system(inst.system))
+    for dim, arity, density, seed in iproduct((1, 3, 5), (2, 3), ("0", "1/3", "1"), (0, 9)):
+        put(dumps_system(random_system(dim, arity, density, seed)))
+    assert digest.hexdigest() == CORPUS_STREAMS_SHA256
 
 
 # ---------------------------------------------------------------------------

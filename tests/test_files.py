@@ -211,6 +211,14 @@ def test_load_rejects_wrong_value_length():
         system_from_dict(doc)
 
 
+def test_load_rejects_null_basis():
+    # An explicit null is not an absent basis: saving would drop the key.
+    doc = _base_doc()
+    doc["basis"] = None
+    with pytest.raises(InputError, match="'basis' must be a list of 2 strings"):
+        system_from_dict(doc)
+
+
 def test_load_rejects_bad_dimension():
     with pytest.raises(InputError, match="dimension"):
         system_from_dict({"dimension": 0, "product": []})
