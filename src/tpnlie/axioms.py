@@ -59,6 +59,8 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
+    _components,
+    _integer,
     _listed,
     _sorted_sign,
     bracket_apply,
@@ -623,36 +625,16 @@ def _scan(basis, blocks, eval_fn):
 def _boundary(identity, product, bracket, derivation, samples: int = 1):
     """(definition, dimension, arity) of a check, after validating its inputs.
 
-    The arity is 0 when the identity uses no bracket.  Every component given
-    must have its type, and the ones the identity uses one dimension.
+    The arity is 0 when the identity uses no bracket.
     """
     if not isinstance(identity, IdentityId):
         raise InputError(f"not an identity id: {identity!r}")
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-        raise InputError(f"samples must be an integer >= 1, got {samples!r}")
+    _integer(samples, "samples", 1)
     definition = _DEFS[identity]
-    dims = {}
-    for name, obj, kind, used in (
-        ("product", product, ProductTensor, definition.needs_product),
-        ("bracket", bracket, SkewBracket, definition.needs_bracket),
-        ("derivation", derivation, DerivationMatrix, definition.needs_derivation),
-    ):
-        if obj is None:
-            if used:
-                raise InputError(f"{identity.name} requires a {name}")
-        elif not isinstance(obj, kind):
-            raise InputError(
-                f"{identity.name}: the {name} must be a {kind.__name__}, "
-                f"got a {type(obj).__name__}"
-            )
-        elif used:
-            dims[name] = obj.dim
-    found = set(dims.values())
-    if len(found) != 1:
-        given = ", ".join(f"{name} {dim}" for name, dim in dims.items())
-        raise InputError(f"{identity.name}: component dimensions disagree ({given})")
+    used = (definition.needs_product, definition.needs_bracket, definition.needs_derivation)
+    d = _components(identity.name, product, bracket, derivation, used)
     n = bracket.arity if definition.needs_bracket else 0
-    return definition, found.pop(), n
+    return definition, d, n
 
 
 def check_identity(
@@ -754,7 +736,7 @@ def sampled_verdict(
     definition, d, n = _boundary(identity, product, bracket, derivation, samples)
     ops = _public_ops(product, bracket, derivation, d, n)
     count = sum(size for size, _ in definition.blocks(n))
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     for _ in range(samples):
         elems = tuple(_random_vector(d, rng) for _ in range(count))
         res = definition.residual(ops, elems)

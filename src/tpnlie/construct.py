@@ -22,9 +22,9 @@ from .core import (
     AlgebraSystem,
     DerivationMatrix,
     ElementVector,
-    InputError,
     ProductTensor,
     SkewBracket,
+    _components,
     _listed,
     basis_vectors,
     multiply,
@@ -42,9 +42,7 @@ def derivation_bracket(product: ProductTensor, derivation: DerivationMatrix) -> 
     The caller is responsible for D actually being a derivation of the
     product; this routine just builds the tensor.
     """
-    d = product.dim
-    if derivation.dim != d:
-        raise InputError(f"derivation has dimension {derivation.dim}, product has {d}")
+    d = _components("derivation_bracket", product, None, derivation, (True, False, True))
     basis = basis_vectors(d)
     dcols = [derivation.column(j) for j in range(d)]
     entries = {}
@@ -67,9 +65,8 @@ def extend_bracket(
     omitting zero values.  No identity is checked here; run the checkers on
     the result to verify anything.
     """
-    d, n = bracket.dim, bracket.arity
-    if product.dim != d or derivation.dim != d:
-        raise InputError("extend_bracket: component dimensions disagree")
+    d = _components("extend_bracket", product, bracket, derivation)
+    n = bracket.arity
     dcols = [derivation.column(j) for j in range(d)]
     lookup = bracket.entries
     zero = ElementVector.zero(d)

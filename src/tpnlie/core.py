@@ -3,7 +3,9 @@
 All scalars are exact rationals (``fractions.Fraction``); there is no floating
 point and no rounding anywhere in the system, so "equals zero" is always a
 decidable, exact question.  Every type in this module is immutable after
-construction and may be shared freely across threads.
+construction (mappings are stored as read-only views) and may be shared
+freely across threads.  Every public entry point checks its arguments with
+the rules here: ``_integer``, ``_bracket_key`` and ``_components``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 from itertools import repeat
+from types import MappingProxyType
 
 __all__ = [
     "Rational",
@@ -41,10 +44,38 @@ class InputError(ValueError):
     """Malformed user input: bad shapes, unknown names, unparsable data."""
 
 
-def _dimension(d) -> int:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InputError(f"dimension must be a positive integer, got {d!r}")
-    return d
+def _integer(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if it is an int, never a bool, in ``least..most``; else an
+    InputError that names ``what``.  Either bound may be None (open), but
+    ``most`` comes only with ``least``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (least is None or value >= least) and (most is None or value <= most):
+            return value
+    rule = "an integer"
+    if most is not None:
+        rule += f" in {least}..{most}"
+    elif least is not None:
+        rule += f" >= {least}"
+    raise InputError(f"{what} must be {rule}, got {value!r}")
+
+
+def _bracket_key(key, n: int, d: int, what: str) -> tuple[int, ...]:
+    """``key`` as a stored bracket key: ``n`` integer indices in 0..d-1,
+    strictly increasing; ``what`` names it in messages."""
+    try:
+        indices = tuple(key)
+    except TypeError:
+        indices = ()
+    if len(indices) != n:
+        raise InputError(f"{what} {key!r} must be a tuple of {n} indices")
+    try:
+        for i in indices:
+            _integer(i, "index", 0, d - 1)
+    except InputError:
+        raise InputError(f"{what} {key!r} needs integer indices, none outside 0..{d - 1}") from None
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise InputError(f"{what} {key!r}: indices not strictly increasing")
+    return indices
 
 
 def _mapping(value, what: str) -> Mapping:
@@ -108,12 +139,12 @@ class ElementVector:
 
     @classmethod
     def zero(cls, dim: int) -> "ElementVector":
-        return zero_vector(dim)
+        return zero_vector(_integer(dim, "dimension", 1))
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "ElementVector":
-        if not 0 <= index < dim:
-            raise InputError(f"basis index {index} out of range for dimension {dim}")
+        dim = _integer(dim, "dimension", 1)
+        index = _integer(index, "basis index", 0, dim - 1)
         return cls(tuple(_ONE if k == index else _ZERO for k in range(dim)))
 
     @property
@@ -176,7 +207,7 @@ def _accumulated(acc: list) -> ElementVector:
 @lru_cache(maxsize=None)
 def basis_vectors(dim: int) -> tuple[ElementVector, ...]:
     """The standard basis e_0, ..., e_{dim-1}, cached per dimension."""
-    return tuple(ElementVector.basis(dim, i) for i in range(dim))
+    return tuple(ElementVector.basis(dim, i) for i in range(_integer(dim, "dimension", 1)))
 
 
 def _sorted_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -201,9 +232,10 @@ def canonicalize(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...], int
     The sign is the parity of the sorting permutation, or 0 if an index is
     repeated.  Raises InputError when an index is outside 0..dim-1.
     """
+    most = _integer(dim, "dimension", 1) - 1
+    indices = _listed(indices, "indices")
     for i in indices:
-        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
-            raise InputError(f"index {i!r} out of range for dimension {dim}")
+        _integer(i, "index", 0, most)
     return _sorted_sign(indices)
 
 
@@ -219,7 +251,7 @@ class ProductTensor:
     c: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        d = _dimension(self.dim)
+        d = _integer(self.dim, "dimension", 1)
         c = _rationals(self.c, 3, "product tensor")
         if len(c) != d or any(len(p) != d or any(len(row) != d for row in p) for p in c):
             raise InputError(f"product tensor must be {d}x{d}x{d}")
@@ -261,23 +293,11 @@ class SkewBracket:
     entries: Mapping[tuple[int, ...], ElementVector]
 
     def __post_init__(self) -> None:
-        d, n = _dimension(self.dim), self.arity
-        if not isinstance(n, int) or n < 2:
-            raise InputError(f"bracket arity must be an integer >= 2, got {n!r}")
+        d = _integer(self.dim, "dimension", 1)
+        n = _integer(self.arity, "bracket arity", 2)
         clean: dict[tuple[int, ...], ElementVector] = {}
         for key, value in _mapping(self.entries, "bracket entries").items():
-            try:
-                key = tuple(key)
-            except TypeError:
-                raise InputError(f"bracket key {key!r} must be a tuple of {n} indices") from None
-            if len(key) != n:
-                raise InputError(f"bracket key {key} must have {n} indices")
-            if any(
-                not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < d for i in key
-            ):
-                raise InputError(f"bracket key {key} needs integer indices in 0..{d - 1}")
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise InputError(f"bracket key {key}: indices not strictly increasing")
+            key = _bracket_key(key, n, d, "bracket key")
             if isinstance(value, ElementVector):
                 value = value.coords
             value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))
@@ -287,7 +307,7 @@ class SkewBracket:
                 clean[key] = value
         # Sorted only now that every key is checked: sorting keys of mixed
         # types would raise a bare TypeError.
-        object.__setattr__(self, "entries", dict(sorted(clean.items())))
+        object.__setattr__(self, "entries", MappingProxyType(dict(sorted(clean.items()))))
 
     @classmethod
     def zero(cls, dim: int, arity: int) -> "SkewBracket":
@@ -327,7 +347,7 @@ class DerivationMatrix:
     m: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        d = _dimension(self.dim)
+        d = _integer(self.dim, "dimension", 1)
         m = _rationals(self.m, 2, "derivation matrix")
         if len(m) != d or any(len(row) != d for row in m):
             raise InputError(f"derivation matrix must be {d}x{d}")
@@ -349,9 +369,36 @@ class DerivationMatrix:
 
     def column(self, j: int) -> ElementVector:
         """D(e_j) as a vector."""
-        if not 0 <= j < self.dim:
-            raise InputError(f"column index {j} out of range")
+        j = _integer(j, "column index", 0, self.dim - 1)
         return ElementVector(tuple(self.m[k][j] for k in range(self.dim)))
+
+
+def _components(what: str, product, bracket, derivation, used=(True, True, True)) -> int:
+    """The one dimension of the components flagged in ``used``.
+
+    Every component given must have its type, and each used one must be
+    given; ``what`` names the caller in messages.
+    """
+    dims = {}
+    for name, obj, kind, needed in (
+        ("product", product, ProductTensor, used[0]),
+        ("bracket", bracket, SkewBracket, used[1]),
+        ("derivation", derivation, DerivationMatrix, used[2]),
+    ):
+        if obj is None:
+            if needed:
+                raise InputError(f"{what} requires a {name}")
+        elif not isinstance(obj, kind):
+            raise InputError(
+                f"{what}: the {name} must be a {kind.__name__}, got a {type(obj).__name__}"
+            )
+        elif needed:
+            dims[name] = obj.dim
+    found = set(dims.values())
+    if len(found) != 1:
+        given = ", ".join(f"{name} {dim}" for name, dim in dims.items())
+        raise InputError(f"{what}: component dimensions disagree ({given})")
+    return found.pop()
 
 
 @dataclass(frozen=True)
@@ -365,7 +412,7 @@ class AlgebraSystem:
     basis_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        d = _dimension(self.dim)
+        d = _integer(self.dim, "dimension", 1)
         if not isinstance(self.product, ProductTensor):
             raise InputError(f"product must be a ProductTensor, not {type(self.product).__name__}")
         if self.product.dim != d:
@@ -388,8 +435,8 @@ class AlgebraSystem:
             if len(labels) != d:
                 raise InputError(f"expected {d} basis labels, got {len(labels)}")
             object.__setattr__(self, "basis_labels", labels)
-        object.__setattr__(self, "brackets", dict(self.brackets))
-        object.__setattr__(self, "derivations", dict(self.derivations))
+        object.__setattr__(self, "brackets", MappingProxyType(dict(self.brackets)))
+        object.__setattr__(self, "derivations", MappingProxyType(dict(self.derivations)))
 
     def bracket(self, name: str) -> SkewBracket:
         try:

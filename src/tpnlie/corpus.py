@@ -22,6 +22,9 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
+    _components,
+    _integer,
+    _listed,
     rat,
 )
 
@@ -52,19 +55,13 @@ def _monomial_label(exponents: list[tuple[str, int]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _ring_size(m) -> int:
-    if not isinstance(m, int) or m < 2:
-        raise InputError(f"truncated polynomial ring needs integer m >= 2, got {m!r}")
-    return m
-
-
 def make_truncated_poly(m: int) -> AlgebraSystem:
     """Q[t]/(t^m) with basis e_k = t^k, the Euler map t*d/dt, and its bracket.
 
     The bracket "b1" is the binary bootstrap from the Euler derivation
     "euler" (so [e_i, e_j] = (j - i) e_{i+j}, zero once i + j >= m).
     """
-    m = _ring_size(m)
+    m = _integer(m, "truncation degree m", 2)
     cube = [[[1 if i + j == k else 0 for k in range(m)] for j in range(m)] for i in range(m)]
     product = ProductTensor(m, cube)
     euler = poly_derivation(m, [1])
@@ -85,8 +82,8 @@ def poly_derivation(m: int, coeffs) -> DerivationMatrix:
     truncation ideal, so every such matrix is a genuine derivation of the
     product.  D(e_j) = j * sum_r a_r e_{j-1+r}, truncated at degree m.
     """
-    m = _ring_size(m)
-    a = [rat(c) for c in coeffs]
+    m = _integer(m, "truncation degree m", 2)
+    a = [rat(c) for c in _listed(coeffs, "coeffs")]
     cols = [[0] * m for _ in range(m)]
     for j in range(m):
         for r, ar in enumerate(a, start=1):
@@ -104,7 +101,7 @@ def formal_derivative(m: int) -> DerivationMatrix:
     D(e_1 e_{m-1}) = D(0) = 0 but the Leibniz side gives m * e_{m-1}.
     Useful as a negative control.
     """
-    m = _ring_size(m)
+    m = _integer(m, "truncation degree m", 2)
     rows = [[j if k == j - 1 else 0 for j in range(m)] for k in range(m)]
     return DerivationMatrix(m, rows)
 
@@ -121,9 +118,7 @@ def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
     d2 = t*d/dt, plus the binary bracket "b_d1" bootstrapped from d1.
     For a = b = 2 the basis is (1, s, t, s*t).
     """
-    if not isinstance(a, int) or a < 2 or not isinstance(b, int) or b < 2:
-        raise InputError(f"tensor truncation needs integers a, b >= 2, got {a!r}, {b!r}")
-    d = a * b
+    d = _integer(a, "truncation degree a", 2) * _integer(b, "truncation degree b", 2)
     cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
     for i1 in range(a):
         for j1 in range(b):
@@ -153,8 +148,8 @@ def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
 
 def tensor_diagonal_derivation(a: int, b: int, alpha, beta) -> DerivationMatrix:
     """alpha*s*d/ds + beta*t*d/dt on the (a, b) tensor truncation (diagonal)."""
+    d = _integer(a, "truncation degree a", 2) * _integer(b, "truncation degree b", 2)
     alpha, beta = rat(alpha), rat(beta)
-    d = a * b
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(a):
         for j in range(b):
@@ -170,11 +165,8 @@ def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSyste
     strictly increasing tuples at all then).  Every bracket identity holds
     by inspection.
     """
-    return AlgebraSystem(
-        product.dim,
-        product,
-        brackets={"zero": SkewBracket.zero(product.dim, arity)},
-    )
+    d = _components("make_zero_bracket_system", product, None, None, (True, False, False))
+    return AlgebraSystem(d, product, brackets={"zero": SkewBracket.zero(d, arity)})
 
 
 def _random_bracket(rng: random.Random, dim: int, arity: int, threshold: float) -> SkewBracket:
@@ -196,16 +188,12 @@ def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
     ``density`` (a rational in [0, 1]) is the probability that a given
     strictly increasing tuple carries a (random) bracket value.
     """
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"dimension must be a positive integer, got {dim!r}")
-    if dim > MAX_RANDOM_DIM:
-        raise InputError(f"random_system dimension {dim} exceeds the guard {MAX_RANDOM_DIM}")
-    if not isinstance(arity, int) or arity < 2:
-        raise InputError(f"bracket arity must be an integer >= 2, got {arity!r}")
+    _integer(dim, "random_system dimension", 1, MAX_RANDOM_DIM)
+    _integer(arity, "bracket arity", 2)
     density = rat(density)
     if not 0 <= density <= 1:
         raise InputError(f"density must lie in [0, 1], got {density}")
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
@@ -291,16 +279,11 @@ def hunt_counterexample(
     Arity 2 is rejected: the strong condition holds automatically there, so
     the premise set is unsatisfiable.
     """
-    if not isinstance(arity, int) or arity < 3:
-        raise InputError(
-            "hunting needs arity >= 3: at arity 2 the strong condition follows "
-            "from the transposed Leibniz identity, so no candidate can exist"
-        )
-    for name, value in (("dim", dim), ("trials", trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"hunt {name} must be an integer, got {value!r}")
-    if trials < 0:
-        raise InputError(f"trial budget must be nonnegative, got {trials}")
+    reason = "at arity 2 the strong condition follows from the transposed Leibniz identity"
+    _integer(arity, f"hunt arity ({reason}, so no candidate can exist)", 3)
+    _integer(dim, "hunt dim", 1, MAX_RANDOM_DIM)
+    _integer(trials, "hunt trials", 0)
+    _integer(seed, "hunt seed")
     for trial in range(trials):
         child = _trial_seed(seed, trial)
         system = random_system(dim, arity, _HUNT_DENSITIES[trial % 4], child)
@@ -484,7 +467,8 @@ def binary_sweep_corpus(seed: int = 0, count: int = 108) -> list[CorpusInstance]
     """Deterministic arity-2 instances: bootstrapped brackets on truncated
     polynomial rings and tensor truncations, zero brackets, and hypothesis-
     filtered random systems."""
-    rng = random.Random(seed)
+    _integer(count, "count", 0)
+    rng = random.Random(_integer(seed, "seed"))
     gens = (_trunc_instances(rng), _tensor_instances(rng), _misc_instances(rng))
     schedule = (0, 1, 0, 1, 0, 2)
     out: list[CorpusInstance] = []
@@ -503,7 +487,8 @@ def ternary_sweep_corpus(seed: int = 0, count: int = 24) -> list[CorpusInstance]
     brackets and collapsed extensions are mixed in as degenerate cases.
     Shapes are kept small (mostly 2x2) so exhaustive NP2/NP3 sweeps stay fast.
     """
-    rng = random.Random(seed)
+    _integer(count, "count", 0)
+    rng = random.Random(_integer(seed, "seed"))
     shapes = ((2, 2), (2, 2), (2, 2), (2, 3), (2, 2), (2, 2), (3, 2), (2, 2))
     out: list[CorpusInstance] = []
     k = 0

@@ -19,6 +19,8 @@ from .core import (
     InputError,
     ProductTensor,
     SkewBracket,
+    _bracket_key,
+    _integer,
     rat,
 )
 from .corpus import Finding
@@ -94,11 +96,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     """Validate and build a system from parsed JSON.  Shape validation only;
     axiom checks are explicit commands, never implicit in loading."""
     _require(isinstance(data, dict), f"{source}: top level must be a JSON object")
-    dim = data.get("dimension")
-    _require(
-        isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-        f"{source}: 'dimension' must be a positive integer",
-    )
+    dim = _integer(data.get("dimension"), f"{source}: 'dimension'", 1)
 
     labels = data.get("basis")
     if "basis" in data:
@@ -118,11 +116,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     for name, spec in raw_brackets.items():
         where = f"{source}: brackets[{name!r}]"
         _require(isinstance(spec, dict), f"{where} must be an object")
-        arity = spec.get("arity")
-        _require(
-            isinstance(arity, int) and not isinstance(arity, bool) and arity >= 2,
-            f"{where}.arity must be an integer >= 2",
-        )
+        arity = _integer(spec.get("arity"), f"{where}.arity", 2)
         raw_entries = spec.get("entries", [])
         _require(isinstance(raw_entries, list), f"{where}.entries must be a list")
         entries = {}
@@ -130,20 +124,8 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
             ewhere = f"{where}.entries[{pos}]"
             _require(isinstance(entry, dict), f"{ewhere} must be an object")
             indices = entry.get("indices")
-            _require(
-                isinstance(indices, list) and len(indices) == arity
-                and all(isinstance(i, int) and not isinstance(i, bool) for i in indices),
-                f"{ewhere}.indices must be a list of {arity} integers",
-            )
-            _require(
-                all(0 <= i < dim for i in indices),
-                f"{ewhere}.indices has an index outside 0..{dim - 1}",
-            )
-            key = tuple(indices)
-            _require(
-                all(x < y for x, y in zip(key, key[1:])),
-                f"{ewhere}.indices not strictly increasing",
-            )
+            _require(isinstance(indices, list), f"{ewhere}.indices must be a list")
+            key = _bracket_key(indices, arity, dim, f"{ewhere}.indices")
             _require(key not in entries, f"{ewhere}: duplicate indices {list(key)}")
             entries[key] = _table(entry.get("value"), 1, dim, f"{ewhere}.value")
         brackets[name] = SkewBracket(dim, arity, entries)
