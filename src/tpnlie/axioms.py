@@ -26,9 +26,12 @@ vectors, without per-call checks, with a private kernel that alone owns
 its tables: it reads each product cell, ``D`` column and bracket value of
 the components the identity uses from their dense constants on first use.
 An integral constant is held as an ``int`` and any other as a
-``Fraction``, so the arithmetic stays exact.  The kernel's ops memoise
-inner terms such as ``h*[y_i, x..]`` across tuples, for one
-``check_identity`` call: a basis vector is keyed by its index, a stored
+``Fraction``, so the arithmetic stays exact.  The tables of the last
+product, bracket and ``D`` checked are kept for the next check of the
+same object, since a suite, a tower level or a sweep instance checks one
+component many times in a row.  The kernel's ops memoise inner terms such
+as ``h*[y_i, x..]`` across tuples, for one ``check_identity`` call only:
+a basis vector is keyed by its index, a stored
 result by a fresh int, and a result is stored only when its arguments are
 keyed and use fewer quantified elements than the tuple has, which bounds
 the memo by the terms of shorter tuples.  Each identity is
@@ -310,9 +313,9 @@ def _res_assoc(ops, e):
 # ---------------------------------------------------------------------------
 # The ops the residuals run on.  ``_public_ops`` goes through the validating
 # ``multiply``, ``bracket_apply`` and ``DerivationMatrix.apply``.
-# ``_kernel_ops`` evaluates over tables and a memo that live for one
-# ``check_identity`` call, after its boundary checks, so nothing is validated
-# per tuple.
+# ``_kernel_ops`` evaluates over a memo that lives for one ``check_identity``
+# call and over tables that live while their component holds its slot in
+# ``_held``, after the boundary checks, so nothing is validated per tuple.
 
 
 @dataclass(frozen=True)
@@ -405,11 +408,26 @@ def _pairs(coords) -> tuple:
     return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
 
 
+# One slot per kind: the last product, bracket and D the kernel read, each
+# with its lazily filled table.  Components are immutable, and every caller
+# checks one many times in a row, so one slot of each kind is enough.
+_held = {"product": (None, None), "bracket": (None, None), "derivation": (None, None)}
+
+
+def _table_of(kind: str, component, new: Callable):
+    held, table = _held[kind]
+    if held is not component:
+        table = new()
+        _held[kind] = (component, table)
+    return table
+
+
 def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]]:
     """Table-driven, memoised ops over ``_Vec``s, and the basis they start from.
 
     Tables are read from the components' dense constants cell by cell, on
-    first use.  Each op memoises its results on its arguments' keys: a basis
+    first use, and kept in ``_held`` for the next check of the same
+    component.  Each op memoises its results on its arguments' keys: a basis
     vector's key is its index and a stored result gets a fresh int.  A result
     is stored only when every argument has a key and together they use fewer
     of the tuple's ``m`` quantified elements (leaves) than all of them; one
@@ -440,7 +458,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
     mul = brk = der = None
     if definition.needs_product:
         c = p.c
-        cells = [[None] * d for _ in range(d)]
+        cells = _table_of("product", p, lambda: [[None] * d for _ in range(d)])
         products = {}
 
         def mul(x, y):
@@ -464,7 +482,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
 
     if definition.needs_bracket:
         entries = b.entries
-        signed = {}
+        signed = _table_of("bracket", b, dict)
         brackets = {}
 
         def lookup(idx):
@@ -499,7 +517,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
 
     if definition.needs_derivation:
         rows = D.m
-        cols = [None] * d
+        cols = _table_of("derivation", D, lambda: [None] * d)
         images = {}
 
         def der(x):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .axioms import CheckReport, IdentityId, run_suite
@@ -160,7 +161,10 @@ def cmd_hunt(args) -> int:
     return 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tpnlie`` parser, built once per process and shared by every call:
+    ``parse_args`` leaves it unchanged, so callers must too."""
     parser = argparse.ArgumentParser(
         prog="tpnlie",
         description=(

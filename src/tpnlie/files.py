@@ -10,6 +10,7 @@ load(save(sys)) == sys rational-for-rational.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 from .axioms import CheckReport
@@ -63,15 +64,22 @@ def system_to_dict(system: AlgebraSystem) -> dict:
     return doc
 
 
+@lru_cache(maxsize=256)
+def _rational_string(value: str):
+    # Files hold canonical "p/q" or "p" strings only, the form saving writes.
+    # A file repeats a handful of distinct strings, so each is parsed once;
+    # a refused one raises every time, and each caller names its location.
+    q = rat(value)
+    if value != str(q):
+        raise InputError(f"{value!r} is not a canonical rational (write {str(q)!r})")
+    return q
+
+
 def _rational_at(value, where: str):
     try:
-        q = rat(value)
+        return _rational_string(value) if isinstance(value, str) else rat(value)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from None
-    # Files hold canonical "p/q" or "p" strings only, the form saving writes.
-    if isinstance(value, str) and value != str(q):
-        raise InputError(f"{where}: {value!r} is not a canonical rational (write {str(q)!r})")
-    return q
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,6 +162,8 @@ def load_system(path) -> AlgebraSystem:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{p}: not UTF-8: {exc}") from None
 
     def unique_keys(pairs):
         # json.loads would silently keep the last of two equal keys, e.g.
@@ -168,6 +178,11 @@ def load_system(path) -> AlgebraSystem:
         data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"{p}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except InputError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # A number past int()'s digit limit, or nesting past the recursion limit.
+        raise InputError(f"{p}: unreadable JSON: {exc}") from None
     return system_from_dict(data, source=str(p))
 
 

@@ -587,6 +587,34 @@ def test_kernel_matches_full_cube_on_dense_passing_and_late_failing_inputs():
         assert not report.passed and report == full_cube_report(ident, skewed, b), ident.name
 
 
+def test_kernel_tables_follow_the_component_across_interleaved_checks(w4):
+    # The kernel keeps the tables of the last product, bracket and D it read
+    # for the next check of the same object.  Checks that come back to a
+    # component, switch to an equal copy of it or to a bracket that differs
+    # in one constant must all report what the full cube does.
+    A = _rebased(w4.product, w4.brackets["b1"], w4.derivation("euler"), seed=4)
+    system = random_system(4, 2, 1, seed=7)
+    B = (system.product, system.bracket("b"), system.derivation("d"))
+    entries = dict(B[1].entries)
+    x, *rest = entries[max(entries)].coords
+    entries[max(entries)] = (x + 1, *rest)
+    B1 = (B[0], SkewBracket(4, 2, entries), B[2])
+    A_copy = (
+        ProductTensor(4, A[0].c), SkewBracket(4, 2, dict(A[1].entries)), DerivationMatrix(4, A[2].m)
+    )
+    assert A_copy == A and all(u is not v for u, v in zip(A_copy, A))
+    mixed = (A[0], B1[1], A[2])
+
+    oracle = {}
+    for name, (p, b, D) in [("A", A), ("B", B), ("A", A), ("B1", B1), ("A", A_copy),
+                            ("B", B), ("mixed", mixed), ("B1", B1), ("A", A)]:
+        if name not in oracle:
+            oracle[name] = [full_cube_report(i, p, b, D) for i in I]
+        assert [check_identity(i, p, b, D) for i in I] == oracle[name], name
+    assert all(r.passed for r in oracle["A"]) and not all(r.passed for r in oracle["B"])
+    assert oracle["B1"] != oracle["B"] and oracle["mixed"] not in (oracle["A"], oracle["B1"])
+
+
 def test_memo_memory_stays_bounded_on_a_dense_passing_system():
     # Results that use every quantified element are recomputed, not stored;
     # storing them made this NP2 scan peak at 2.0 MB instead of 0.54 MB

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpnlie import load_system
-from tpnlie.cli import main
+from tpnlie.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 W4 = str(FIXTURES / "w4.json")
@@ -98,6 +98,24 @@ def test_check_non_canonical_rational_is_input_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "derivations['euler'][1][1]" in err and "'2/2'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'\xff\xfe{"dimension": 4}',
+        b"[" * 100_000,
+        b'{"dimension": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "nesting-past-recursion-limit", "integer-past-digit-limit"],
+)
+def test_check_unreadable_file_is_input_error_naming_it(capsys, tmp_path, data):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    assert main(["check", str(path), "--bracket", "b1"]) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _paths(node, prefix=()):
@@ -380,6 +398,40 @@ def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatc
     assert bundle["system"]["dimension"] == 4
     assert bundle["extension"]["arity"] == 3
     assert bundle["premise_reports"][0]["identity"] == "NL"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_calls_in_sequence_match_each_call_made_first(tmp_path, capsys):
+    # The parser is built once and shared: no call may see what an earlier
+    # one parsed, such as an appended --derivation, or an argparse error.
+    calls = [
+        ["tower", TP22, "--bracket", "b_d1", "--derivation", "d2", "--derivation", "d2",
+         "--out-dir", str(tmp_path), "--format", "json"],
+        ["tower", TP22, "--bracket", "b_d1", "--derivation", "d2",
+         "--out-dir", str(tmp_path), "--format", "json"],
+        ["check", W4, "--bracket", "b1", "--format", "yaml"],
+        ["check", W4, "--bracket", "b1", "--derivation", "euler", "--format", "json"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    in_sequence = [run(argv) for argv in calls]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    assert in_sequence == first
+    assert [code for code, _ in first] == [0, 0, 2, 0]
+    assert "level 2" in first[0][1]
+    assert "level 1" in first[1][1] and "level 2" not in first[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,40 @@ def test_load_rejects_non_canonical_rationals(text):
         system_from_dict(doc)
 
 
+def test_load_names_each_cell_of_a_repeated_string(tmp_path, w4):
+    # Each distinct string is parsed once per process, yet a refused one
+    # names the cell it is in on every load, and an accepted one loads
+    # the same rational every time.
+    cells = {
+        "product[1][2][3]": lambda doc: doc["product"][1][2],
+        "derivations['euler'][0][3]": lambda doc: doc["derivations"]["euler"][0],
+    }
+    path = tmp_path / "w4.json"
+    for where, row in cells.items():
+        doc = json.loads((FIXTURES / "w4.json").read_text())
+        row(doc)[3] = "2/4"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as info:
+            load_system(path)
+        assert f"{where}: '2/4' is not a canonical rational (write '1/2')" in str(info.value)
+        assert [other for other in cells if other in str(info.value)] == [where]
+
+    doc = json.loads((FIXTURES / "w4.json").read_text())
+    for row in cells.values():
+        row(doc)[3] = "1/2"
+    path.write_text(json.dumps(doc))
+    cube = [[list(cell) for cell in plane] for plane in w4.product.c]
+    cube[1][2][3] = Fraction(1, 2)
+    matrix = [list(r) for r in w4.derivations["euler"].m]
+    matrix[0][3] = Fraction(1, 2)
+    expected = AlgebraSystem(
+        4, ProductTensor(4, cube), w4.brackets, {"euler": DerivationMatrix(4, matrix)},
+        w4.basis_labels,
+    )
+    assert load_system(path) == expected
+    assert load_system(path) == expected
+
+
 def test_load_accepts_json_integers():
     doc = _base_doc()
     doc["product"] = [[[int(c) for c in row] for row in plane] for plane in doc["product"]]
