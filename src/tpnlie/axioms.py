@@ -65,6 +65,7 @@ from .core import (
     _components,
     _integer,
     _listed,
+    _shown,
     _sorted_sign,
     bracket_apply,
     multiply,
@@ -646,7 +647,7 @@ def _boundary(identity, product, bracket, derivation, samples: int = 1):
     The arity is 0 when the identity uses no bracket.
     """
     if not isinstance(identity, IdentityId):
-        raise InputError(f"not an identity id: {identity!r}")
+        raise InputError(f"not an identity id: {_shown(identity)}")
     _integer(samples, "samples", 1)
     definition = _DEFS[identity]
     used = (definition.needs_product, definition.needs_bracket, definition.needs_derivation)
@@ -716,7 +717,7 @@ def run_suite(
         ids = _listed(ids, "ids")
         for i in ids:
             if not isinstance(i, IdentityId):
-                raise InputError(f"ids: not an identity id: {i!r}")
+                raise InputError(f"ids: not an identity id: {_shown(i)}")
             if _DEFS[i].needs_derivation and derivation is None:
                 raise InputError(f"{i.name} requires a derivation name")
         wanted = [i for i in IdentityId if i in ids]

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
 from .axioms import CheckReport, IdentityId, run_suite
 from .construct import build_tower, extend_bracket
-from .core import AlgebraSystem, InputError
+from .core import AlgebraSystem, InputError, _shown
 from .corpus import (
     hunt_counterexample,
     make_tensor_trunc,
@@ -43,9 +44,9 @@ def _parse_suite(spec: str) -> list[IdentityId] | None:
             ids.append(IdentityId[token.upper()])
         except KeyError:
             known = ", ".join(i.name for i in IdentityId)
-            raise InputError(f"unknown identity {token!r} (known: {known})") from None
+            raise InputError(f"unknown identity {_shown(token)} (known: {known})") from None
     if not ids:
-        raise InputError(f"--suite {spec!r} names no identity")
+        raise InputError(f"--suite {_shown(spec)} names no identity")
     return ids
 
 
@@ -116,36 +117,32 @@ def cmd_tower(args) -> int:
     return 0 if ok else 1
 
 
-def _require_flag(value, flag: str, family: str):
+def _flag(args, name: str):
+    value = getattr(args, name)
     if value is None:
-        raise InputError(f"--family {family} requires {flag}")
+        raise InputError(f"--family {args.family} requires --{name}")
     return value
 
 
+def _zero_family(args) -> AlgebraSystem:
+    base = make_truncated_poly(_flag(args, "m"))
+    zero = make_zero_bracket_system(base.product, _flag(args, "arity"))
+    return replace(base, brackets=zero.brackets)
+
+
+# A family checks its flags left to right and names the first one missing.
+_FAMILIES = {
+    "trunc-poly": lambda args: make_truncated_poly(_flag(args, "m")),
+    "tensor-trunc": lambda args: make_tensor_trunc(_flag(args, "a"), _flag(args, "b")),
+    "zero": _zero_family,
+    "random": lambda args: random_system(
+        _flag(args, "dim"), _flag(args, "arity"), args.density, _flag(args, "seed")
+    ),
+}
+
+
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "trunc-poly":
-        system = make_truncated_poly(_require_flag(args.m, "--m", family))
-    elif family == "tensor-trunc":
-        system = make_tensor_trunc(
-            _require_flag(args.a, "--a", family), _require_flag(args.b, "--b", family)
-        )
-    elif family == "zero":
-        base = make_truncated_poly(_require_flag(args.m, "--m", family))
-        zero = make_zero_bracket_system(base.product, _require_flag(args.arity, "--arity", family))
-        system = AlgebraSystem(
-            base.dim, base.product, zero.brackets, base.derivations, base.basis_labels
-        )
-    elif family == "random":
-        system = random_system(
-            _require_flag(args.dim, "--dim", family),
-            _require_flag(args.arity, "--arity", family),
-            args.density,
-            _require_flag(args.seed, "--seed", family),
-        )
-    else:  # unreachable: argparse restricts choices
-        raise InputError(f"unknown family {family!r}")
-    save_system(system, args.output)
+    save_system(_FAMILIES[args.family](args), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -206,9 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     tower.set_defaults(func=cmd_tower)
 
     gen = sub.add_parser("gen", help="generate a system file from a family")
-    gen.add_argument(
-        "--family", required=True, choices=("trunc-poly", "tensor-trunc", "zero", "random")
-    )
+    gen.add_argument("--family", required=True, choices=_FAMILIES)
     gen.add_argument("--m", type=int)
     gen.add_argument("--a", type=int)
     gen.add_argument("--b", type=int)

@@ -44,6 +44,16 @@ class InputError(ValueError):
     """Malformed user input: bad shapes, unknown names, unparsable data."""
 
 
+def _shown(value) -> str:
+    """``value`` as a message echoes it: its repr (an exception's text), cut
+    after 80 characters to a prefix, "…" and the full length."""
+    try:
+        text = str(value) if isinstance(value, BaseException) else repr(value)
+    except (ValueError, RecursionError):  # an int past str()'s digit limit; deep nesting
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
+
+
 def _integer(value, what: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` if it is an int, never a bool, in ``least..most``; else an
     InputError that names ``what``.  Either bound may be None (open), but
@@ -56,7 +66,7 @@ def _integer(value, what: str, least: int | None = None, most: int | None = None
         rule += f" in {least}..{most}"
     elif least is not None:
         rule += f" >= {least}"
-    raise InputError(f"{what} must be {rule}, got {value!r}")
+    raise InputError(f"{what} must be {rule}, got {_shown(value)}")
 
 
 def _bracket_key(key, n: int, d: int, what: str) -> tuple[int, ...]:
@@ -67,14 +77,16 @@ def _bracket_key(key, n: int, d: int, what: str) -> tuple[int, ...]:
     except TypeError:
         indices = ()
     if len(indices) != n:
-        raise InputError(f"{what} {key!r} must be a tuple of {n} indices")
+        raise InputError(f"{what} {_shown(key)} must be a tuple of {n} indices")
     try:
         for i in indices:
             _integer(i, "index", 0, d - 1)
     except InputError:
-        raise InputError(f"{what} {key!r} needs integer indices, none outside 0..{d - 1}") from None
+        raise InputError(
+            f"{what} {_shown(key)} needs integer indices, none outside 0..{d - 1}"
+        ) from None
     if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise InputError(f"{what} {key!r}: indices not strictly increasing")
+        raise InputError(f"{what} {_shown(key)}: indices not strictly increasing")
     return indices
 
 
@@ -113,11 +125,11 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"not an exact rational: {value!r}")
+        raise InputError(f"not an exact rational: {_shown(value)}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {value!r}: {exc}") from None
+        raise InputError(f"malformed rational {_shown(value)}: {_shown(exc)}") from None
 
 
 @dataclass(frozen=True)
@@ -424,12 +436,14 @@ class AlgebraSystem:
             for name, part in _mapping(parts, kind + "s").items():
                 # Names are saved as JSON object keys, which are strings.
                 if not isinstance(name, str):
-                    raise InputError(f"{kind} name {name!r} must be a string")
+                    raise InputError(f"{kind} name {_shown(name)} must be a string")
                 if not isinstance(part, cls):
                     what = type(part).__name__
-                    raise InputError(f"{kind} {name!r} is a {what}, not a {cls.__name__}")
+                    raise InputError(f"{kind} {_shown(name)} is a {what}, not a {cls.__name__}")
                 if part.dim != d:
-                    raise InputError(f"{kind} {name!r} has dimension {part.dim}, system has {d}")
+                    raise InputError(
+                        f"{kind} {_shown(name)} has dimension {part.dim}, system has {d}"
+                    )
         if self.basis_labels is not None:
             labels = tuple(str(s) for s in _listed(self.basis_labels, "basis_labels"))
             if len(labels) != d:
@@ -443,19 +457,19 @@ class AlgebraSystem:
             return self.brackets[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             known = ", ".join(sorted(self.brackets)) or "none"
-            raise InputError(f"unknown bracket {name!r} (available: {known})") from None
+            raise InputError(f"unknown bracket {_shown(name)} (available: {known})") from None
 
     def derivation(self, name: str) -> DerivationMatrix:
         try:
             return self.derivations[name]
         except (KeyError, TypeError):
             known = ", ".join(sorted(self.derivations)) or "none"
-            raise InputError(f"unknown derivation {name!r} (available: {known})") from None
+            raise InputError(f"unknown derivation {_shown(name)} (available: {known})") from None
 
     def with_bracket(self, name: str, bracket: SkewBracket) -> "AlgebraSystem":
         """A copy of the system with one more named bracket."""
         if name in self.brackets:
-            raise InputError(f"bracket {name!r} already exists")
+            raise InputError(f"bracket {_shown(name)} already exists")
         brackets = dict(self.brackets)
         brackets[name] = bracket
         return AlgebraSystem(self.dim, self.product, brackets, self.derivations, self.basis_labels)
@@ -463,7 +477,7 @@ class AlgebraSystem:
     def with_derivation(self, name: str, matrix: DerivationMatrix) -> "AlgebraSystem":
         """A copy of the system with one more named derivation candidate."""
         if name in self.derivations:
-            raise InputError(f"derivation {name!r} already exists")
+            raise InputError(f"derivation {_shown(name)} already exists")
         derivations = dict(self.derivations)
         derivations[name] = matrix
         return AlgebraSystem(self.dim, self.product, self.brackets, derivations, self.basis_labels)

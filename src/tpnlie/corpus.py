@@ -236,7 +236,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 class Finding:
     """A hunter hit: premises hold, strong fails, and the extension breaks.
 
-    ``premise_reports`` are re-verified before the finding is returned;
+    ``premise_reports`` are re-run before the finding is returned;
     ``failure_reports`` are the NL/TP reports of the extended bracket that
     contain at least one failure.
     """
@@ -252,15 +252,15 @@ class Finding:
     failure_reports: tuple[CheckReport, ...]
 
 
-def _premise_reports(system: AlgebraSystem) -> list[CheckReport]:
-    p = system.product
-    b = system.bracket("b")
-    m = system.derivation("d")
+def _reports(system: AlgebraSystem, idents) -> list[CheckReport]:
+    """The reports of ``idents`` on the bracket "b" and the derivation "d" of
+    ``system``, in order, up to and including the first failure: so the last
+    one passed if and only if all of ``idents`` hold."""
+    p, b, d = system.product, system.bracket("b"), system.derivations.get("d")
     reports = []
-    for ident in _PREMISES:
-        r = check_identity(ident, product=p, bracket=b, derivation=m)
-        reports.append(r)
-        if not r.passed:
+    for ident in idents:
+        reports.append(check_identity(ident, product=p, bracket=b, derivation=d))
+        if not reports[-1].passed:
             break
     return reports
 
@@ -287,8 +287,7 @@ def hunt_counterexample(
     for trial in range(trials):
         child = _trial_seed(seed, trial)
         system = random_system(dim, arity, _HUNT_DENSITIES[trial % 4], child)
-        reports = _premise_reports(system)
-        if not all(r.passed for r in reports):
+        if not _reports(system, _PREMISES)[-1].passed:
             continue
         p = system.product
         b = system.bracket("b")
@@ -304,10 +303,10 @@ def hunt_counterexample(
                 failures.append(r)
         if not failures:
             continue
-        # Re-verify the premises from scratch before reporting.
-        premises = _premise_reports(system)
+        # Re-run the premise checks before reporting.
+        premises = _reports(system, _PREMISES)
         strong2 = check_identity(IdentityId.STRONG, product=p, bracket=b)
-        if not all(r.passed for r in premises) or strong2.passed:
+        if not premises[-1].passed or strong2.passed:
             continue
         return Finding(
             trial=trial,
@@ -414,15 +413,6 @@ def _zero_instance(m: int, k: int) -> CorpusInstance:
     return _instance(f"zero(m={m})#{k}", base, SkewBracket.zero(m, 2), base.derivations["euler"])
 
 
-def _passes(system: AlgebraSystem, idents) -> bool:
-    p = system.product
-    b = system.bracket("b")
-    d = system.derivations.get("d")
-    return all(
-        check_identity(i, product=p, bracket=b, derivation=d).passed for i in idents
-    )
-
-
 _HYPOTHESES = (IdentityId.COMM, IdentityId.ASSOC, IdentityId.NL, IdentityId.TP)
 
 
@@ -444,8 +434,8 @@ def _misc_instances(rng: random.Random):
             for _ in range(8):
                 bracket = _random_bracket(random.Random(rng.getrandbits(32)), m, 2, 0.5)
                 inst = _instance(f"randbracket(m={m})#{k}", base, bracket, euler)
-                if _passes(inst.system, (IdentityId.NL, IdentityId.TP)):
-                    if not _passes(inst.system, (IdentityId.DER_BRK,)):
+                if _reports(inst.system, (IdentityId.NL, IdentityId.TP))[-1].passed:
+                    if not _reports(inst.system, (IdentityId.DER_BRK,))[-1].passed:
                         inst = replace(inst, derivation_name=None)
                     yield inst
                     break
@@ -455,8 +445,8 @@ def _misc_instances(rng: random.Random):
             # fully random system, hypothesis-filtered
             for _ in range(8):
                 system = random_system(2, 2, rng.choice((0, Fraction(1, 2))), rng.getrandbits(32))
-                if _passes(system, _HYPOTHESES):
-                    ok = _passes(system, (IdentityId.DER_MUL, IdentityId.DER_BRK))
+                if _reports(system, _HYPOTHESES)[-1].passed:
+                    ok = _reports(system, (IdentityId.DER_MUL, IdentityId.DER_BRK))[-1].passed
                     yield CorpusInstance(f"random#{k}", system, "b", "d" if ok else None)
                     break
             else:

@@ -22,6 +22,7 @@ from .core import (
     SkewBracket,
     _bracket_key,
     _integer,
+    _shown,
     rat,
 )
 from .corpus import Finding
@@ -71,7 +72,7 @@ def _rational_string(value: str):
     # a refused one raises every time, and each caller names its location.
     q = rat(value)
     if value != str(q):
-        raise InputError(f"{value!r} is not a canonical rational (write {str(q)!r})")
+        raise InputError(f"{_shown(value)} is not a canonical rational (write {_shown(str(q))})")
     return q
 
 
@@ -122,7 +123,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     raw_brackets = data.get("brackets", {})
     _require(isinstance(raw_brackets, dict), f"{source}: 'brackets' must be an object")
     for name, spec in raw_brackets.items():
-        where = f"{source}: brackets[{name!r}]"
+        where = f"{source}: brackets[{_shown(name)}]"
         _require(isinstance(spec, dict), f"{where} must be an object")
         arity = _integer(spec.get("arity"), f"{where}.arity", 2)
         raw_entries = spec.get("entries", [])
@@ -142,7 +143,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     raw_derivations = data.get("derivations", {})
     _require(isinstance(raw_derivations, dict), f"{source}: 'derivations' must be an object")
     for name, matrix in raw_derivations.items():
-        rows = _table(matrix, 2, dim, f"{source}: derivations[{name!r}]")
+        rows = _table(matrix, 2, dim, f"{source}: derivations[{_shown(name)}]")
         derivations[name] = DerivationMatrix(dim, rows)
 
     return AlgebraSystem(dim, product, brackets, derivations, labels)
@@ -170,7 +171,7 @@ def load_system(path) -> AlgebraSystem:
         # two brackets of the same name.
         obj = {}
         for key, value in pairs:
-            _require(key not in obj, f"{p}: duplicate key {key!r} in a JSON object")
+            _require(key not in obj, f"{p}: duplicate key {_shown(key)} in a JSON object")
             obj[key] = value
         return obj
 

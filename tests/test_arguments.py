@@ -29,6 +29,7 @@ from tpnlie import (
     make_zero_bracket_system,
     poly_derivation,
     random_system,
+    rat,
     sampled_verdict,
     tensor_diagonal_derivation,
     ternary_sweep_corpus,
@@ -105,6 +106,34 @@ def _cases():
 def test_entry_points_reject_bad_arguments_naming_them(call, what, value):
     with pytest.raises(InputError, match=re.escape(what)):
         call(value)
+
+
+def _nested(depth):
+    node = 1
+    for _ in range(depth):
+        node = [node]
+    return node
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_system(10**5000, 2, 1, 0),
+        lambda: check_identity(10**5000, bracket=B),
+        lambda: SkewBracket(4, 2, {tuple(range(5000)): (1, 0, 0, 0)}),
+        lambda: rat("x" * 5000),
+        lambda: rat(_nested(5000)),
+        lambda: W4.bracket("b" * 5000),
+    ],
+    ids=["int-past-digit-limit", "identity-past-digit-limit", "long-key", "long-string",
+         "list-past-recursion-limit", "long-name"],
+)
+def test_messages_echo_a_bounded_prefix_of_the_value(call):
+    # The first two and the list are echoed by type alone: str() refuses
+    # ints past 4300 digits, and repr() lists nested past the recursion limit.
+    with pytest.raises(InputError) as info:
+        call()
+    assert len(str(info.value)) <= 300
 
 
 def test_constructions_reject_swapped_components():

@@ -199,6 +199,43 @@ def test_check_malformed_file_is_input_error_naming_the_location(mutation_file, 
         assert any(name in err for name in _names(path)), (path, err)
 
 
+def _nested(depth):
+    node = "1"
+    for _ in range(depth):
+        node = [node]
+    return node
+
+
+@pytest.mark.parametrize(
+    ("path", "new", "where"),
+    [
+        (("product", 0, 0, 0), "1" * 5000, "product[0][0][0]"),
+        (("product", 0, 0, 0), "+" + "1" * 3000, "product[0][0][0]"),
+        (("product", 0, 0, 0), _nested(300), "product[0][0][0]"),
+        (("dimension",), "x" * 5000, "'dimension'"),
+        (("brackets", "b1", "entries", 0, "indices"), _nested(400),
+         "brackets['b1'].entries[0].indices"),
+        (("brackets", "b" * 5000), {"arity": 2, "entries": [{"indices": [0], "value": []}]},
+         "brackets['bbb"),
+    ],
+    ids=["5000-digit-cell", "3000-digit-cell-with-plus", "cell-300-deep", "long-dimension",
+         "indices-400-deep", "long-bracket-name"],
+)
+def test_error_echoing_a_long_value_stays_one_short_line(capsys, tmp_path, path, new, where):
+    doc = json.loads(json.dumps(W4_DOC))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = new
+    file = tmp_path / "long.json"
+    file.write_text(json.dumps(doc))
+    assert main(["check", str(file), "--bracket", "b1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 500, err
+    assert where in err
+
+
 def test_check_json_output_stable(capsys):
     args = ["check", W4, "--bracket", "b1", "--derivation", "euler", "--format", "json"]
     assert main(args) == 0
@@ -338,10 +375,28 @@ def test_gen_random_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GEN_FLAGS = {
+    "trunc-poly": {"m": "4"},
+    "tensor-trunc": {"a": "2", "b": "2"},
+    "zero": {"m": "3", "arity": "4"},
+    "random": {"dim": "3", "arity": "2", "seed": "7"},
+}
+
+
 def test_gen_missing_family_params(capsys, tmp_path):
-    assert main(["gen", "--family", "trunc-poly", "-o", str(tmp_path / "x.json")]) == 2
-    assert main(["gen", "--family", "random", "--dim", "3", "--arity", "2",
-                 "-o", str(tmp_path / "y.json")]) == 2  # no seed
+    # Every required flag left out alone, then all of them: the message
+    # names the first one missing, in the order the family reads them.
+    out = tmp_path / "x.json"
+    for family, flags in GEN_FLAGS.items():
+        for missing in [[flag] for flag in flags] + [list(flags)]:
+            argv = ["gen", "--family", family, "-o", str(out)]
+            for flag, value in flags.items():
+                if flag not in missing:
+                    argv += [f"--{flag}", value]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --family {family} requires --{missing[0]}\n", argv
+            assert captured.out == "" and not out.exists(), argv
 
 
 def test_gen_invalid_params(capsys, tmp_path):
