@@ -19,6 +19,15 @@ tuple, one whose skew blocks are strictly increasing, and the single scan
 engine visits only those.  ``tuples_checked`` keeps the full-cube count
 all the same (see ``check_identity``).
 
+A grading skips more.  ``_grading`` solves exactly for integer weights w on
+the basis and shifts s_b, s_D under which every constant the identity uses
+is homogeneous: w_k = w_i + w_j for a product constant, w_k = sum w_i + s_b
+for a bracket one, w_k = w_j + s_D for one of D.  Each term of a residual
+applies the bracket and D a fixed number of times, so on basis vectors it
+has weight sum w + shift, and a tuple whose weight matches no basis vector
+has residual zero.  The engine skips those tuples, so the first failing one
+does not move, and the report's counts come from its lex rank, not the walk.
+
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
 ``sampled_verdict`` share.  The scan then evaluates residuals on sparse
@@ -46,12 +55,14 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from fractions import Fraction
-from itertools import chain, combinations, count
+from functools import lru_cache, partial
+from itertools import combinations, count
 from itertools import product as iproduct
+from math import comb, gcd, lcm
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -412,19 +423,20 @@ def _pairs(coords) -> tuple:
 # One slot per kind: the last product, bracket and D the kernel read, each
 # with its lazily filled table.  Components are immutable, and every caller
 # checks one many times in a row, so one slot of each kind is enough.
-_held = {"product": (None, None), "bracket": (None, None), "derivation": (None, None)}
+# The reduced homogeneity rows of each (see ``_grading``) are kept the same way.
+_held = {}
 
 
 def _table_of(kind: str, component, new: Callable):
-    held, table = _held[kind]
+    held, table = _held.get(kind, (None, None))
     if held is not component:
         table = new()
         _held[kind] = (component, table)
     return table
 
 
-def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]]:
-    """Table-driven, memoised ops over ``_Vec``s, and the basis they start from.
+def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
+    """Table-driven, memoised ops over ``_Vec``s.
 
     Tables are read from the components' dense constants cell by cell, on
     first use, and kept in ``_held`` for the next check of the same
@@ -435,7 +447,6 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
     that uses every leaf rarely recurs, and storing it would grow the memo
     with the number of tuples.
     """
-    m = sum(size for size, _ in definition.blocks(n))
     leaves = dict.fromkeys(range(d), 1)
     fresh = count(d)
 
@@ -481,7 +492,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
                         acc[k] = acc.get(k, 0) + w * ck
             return keep(products, key, key, acc)
 
-    if definition.needs_bracket:
+    if definition.brackets:
         entries = b.entries
         signed = _table_of("bracket", b, dict)
         brackets = {}
@@ -516,7 +527,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
                         acc[k] = acc.get(k, 0) + w * ck
             return keep(brackets, key, key, acc)
 
-    if definition.needs_derivation:
+    if definition.ders:
         rows = D.m
         cols = _table_of("derivation", D, lambda: [None] * d)
         images = {}
@@ -537,8 +548,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
                     acc[k] = acc.get(k, 0) + xj * ck
             return keep(images, key, (key,), acc)
 
-    basis = [_keyed({t: 1}, t) for t in range(d)]
-    return _Ops(mul, brk, der, _ZERO_VEC, n), basis
+    return _Ops(mul, brk, der, _ZERO_VEC, n)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +560,10 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> tuple[_Ops, list[_Keyed]
 @dataclass(frozen=True)
 class _IdentityDef:
     needs_product: bool
-    needs_bracket: bool
-    needs_derivation: bool
+    # Every term of the residual applies the bracket ``brackets`` times and
+    # D ``ders`` times; products add no shift to a term's weight.
+    brackets: int
+    ders: int
     blocks: Callable[[int], tuple[tuple[int, bool], ...]]
     residual: Callable
     # COMM and ASSOC report on the coefficient tuples (i, j, k) / (i, j, l, k)
@@ -563,47 +575,33 @@ class _IdentityDef:
 
 
 _DEFS: dict[IdentityId, _IdentityDef] = {
-    IdentityId.NL: _IdentityDef(
-        False, True, False, lambda n: ((n, True), (n - 1, True)), _res_nl
-    ),
-    IdentityId.TP: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (n, True)), _res_tp
-    ),
-    IdentityId.NP1: _IdentityDef(
-        True, True, False, lambda n: ((n + 1, True),), _res_np1
-    ),
+    IdentityId.NL: _IdentityDef(False, 2, 0, lambda n: ((n, True), (n - 1, True)), _res_nl),
+    IdentityId.TP: _IdentityDef(True, 1, 0, lambda n: ((1, False), (n, True)), _res_tp),
+    IdentityId.NP1: _IdentityDef(True, 1, 0, lambda n: ((n + 1, True),), _res_np1),
     IdentityId.NP2: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2
+        True, 2, 0, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2
     ),
-    IdentityId.NP3: _IdentityDef(
-        True, True, False, lambda n: ((n - 1, True), (n + 1, True)), _res_np3
-    ),
+    IdentityId.NP3: _IdentityDef(True, 2, 0, lambda n: ((n - 1, True), (n + 1, True)), _res_np3),
     IdentityId.NP4: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (1, False), (n, True)), _res_np4
+        True, 1, 0, lambda n: ((1, False), (1, False), (n, True)), _res_np4
     ),
     IdentityId.STRONG: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
+        True, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
     ),
     IdentityId.SCALE: _IdentityDef(
-        True, True, False, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
+        True, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
     ),
-    IdentityId.DER_MUL: _IdentityDef(
-        True, False, True, lambda n: ((1, False), (1, False)), _res_der_mul
-    ),
+    IdentityId.DER_MUL: _IdentityDef(True, 0, 1, lambda n: ((1, False), (1, False)), _res_der_mul),
     IdentityId.DER_BRK: _IdentityDef(
-        False, True, True, lambda n: ((n, True),), _res_der_brk, increasing_only=True
+        False, 1, 1, lambda n: ((n, True),), _res_der_brk, increasing_only=True
     ),
-    IdentityId.LEM1: _IdentityDef(
-        True, True, True, lambda n: ((n + 1, True),), _res_lem1
-    ),
-    IdentityId.LEM2: _IdentityDef(
-        True, True, True, lambda n: ((n + 1, True),), _res_lem2
-    ),
+    IdentityId.LEM1: _IdentityDef(True, 1, 2, lambda n: ((n + 1, True),), _res_lem1),
+    IdentityId.LEM2: _IdentityDef(True, 1, 2, lambda n: ((n + 1, True),), _res_lem2),
     IdentityId.COMM: _IdentityDef(
-        True, False, False, lambda n: ((2, False),), _res_comm, coordinate=True
+        True, 0, 0, lambda n: ((2, False),), _res_comm, coordinate=True
     ),
     IdentityId.ASSOC: _IdentityDef(
-        True, False, False, lambda n: ((3, False),), _res_assoc, coordinate=True
+        True, 0, 0, lambda n: ((3, False),), _res_assoc, coordinate=True
     ),
 }
 
@@ -619,26 +617,131 @@ def _lex_rank(idx: tuple[int, ...], d: int) -> int:
     return rank
 
 
-def _scan(basis, blocks, eval_fn):
-    """Walk the canonical tuples in lex order up to the first nonzero residual.
+# The grading.  A homogeneity row is a ``_Vec`` over the columns w_0..w_{d-1}
+# (the basis weights), d (the bracket's shift) and d + 1 (the shift of D).
+
+
+def _primitive(row: _Vec, pivot: int) -> _Vec:
+    g = gcd(*row.values())
+    g = g if row[pivot] > 0 else -g
+    return _Vec({c: v // g for c, v in row.items()})
+
+
+def _insert(echelon: dict, row: _Vec) -> None:
+    """Add ``row`` to ``echelon``, a reduced echelon form {pivot: row} with
+    primitive integer rows and positive pivots; exact integer elimination."""
+    for p in [c for c in row if c in echelon]:
+        prow = echelon[p]
+        row = row.scaled(prow[p]) - prow.scaled(row[p])
+    if row:
+        p = min(row)
+        row = _primitive(row, p)
+        for q, qrow in echelon.items():
+            if p in qrow:
+                echelon[q] = _primitive(qrow.scaled(row[p]) - row.scaled(qrow[p]), q)
+        echelon[p] = row
+
+
+def _reduced(vectors, d: int) -> dict | None:
+    """The reduced homogeneity rows of one component, from its constant
+    vectors and the columns each one's output weight is the sum of; None as
+    soon as they force every basis weight equal (rank d), which skips nothing."""
+    if any(all(coords) for coords, _ in vectors()):
+        return None  # all d outputs of one constant share one weight
+    echelon = {}
+    for coords, args in vectors():
+        for k, ck in enumerate(coords):
+            if ck:
+                _insert(echelon, _Vec({k: 1}) - _Vec(Counter(args)))
+                if len(echelon) == d:
+                    return None
+    return echelon
+
+
+def _grading(definition, p, b, D, d: int, m: int) -> tuple[tuple[int, ...], int]:
+    """Integer basis weights under which every constant the identity uses is
+    homogeneous, and the shift each of its terms adds to the sum of its
+    ``m`` arguments' weights (see the module docstring).
+
+    The weights and shifts are a generic point of the solution space: its
+    basis vectors combined with the powers of a base past twice any
+    difference of multi-degrees a tuple can make, so two tuples get one
+    weight only if every grading the components admit gives them one.  All
+    weights zero, which skips nothing, when one component alone forces them
+    equal.
+    """
+    sources = (
+        ("product rows", p, definition.needs_product,
+         lambda: ((cell, (i, j)) for i, row in enumerate(p.c) for j, cell in enumerate(row))),
+        ("bracket rows", b, definition.brackets,
+         lambda: ((value.coords, key + (d,)) for key, value in b.entries.items())),
+        ("derivation rows", D, definition.ders,
+         lambda: ((col, (j, d + 1)) for j, col in enumerate(zip(*D.m)))),
+    )
+    echelon = {}
+    for kind, component, used, vectors in sources:
+        if used:
+            rows = _table_of(kind, component, lambda: _reduced(vectors, d))
+            if rows is None:
+                return (0,) * d, 0
+            for row in rows.values():
+                _insert(echelon, row)
+    free = [c for c in range(d + 2) if c not in echelon]
+    scale = lcm(*(row[c] for c, row in echelon.items()))
+    height = scale * max((abs(v) for row in echelon.values() for v in row.values()), default=1)
+    base = 2 * (m + 5) * height + 1
+    x = {f: scale * base**t for t, f in enumerate(free)}
+    for c, row in echelon.items():
+        x[c] = -sum(v * x[f] for f, v in row.items() if f != c) // row[c]
+    return tuple(x[c] for c in range(d)), definition.brackets * x[d] + definition.ders * x[d + 1]
+
+
+def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
+    """Walk the kept canonical tuples in lex order up to the first nonzero residual.
+
+    ``levels`` come from ``_levels``.  From block t on, the walk extends
+    ``head``, whose weight sum is ``s``, only by the block runs after which
+    a target is still within reach, so it visits no skipped tuple, and
+    nesting lex-ordered block lists keeps it in lex order.  Returns (first
+    failing tuple of elements, residual), or None on a pass.
+    """
+    pairs, reach, kept = levels[t]
+    runs = kept.get(s)
+    if runs is None:
+        runs = kept[s] = [pair for pair in pairs if s + pair[0] in reach]
+    if t + 1 == len(levels):
+        for _, tail in runs:
+            elems = head + tail
+            res = eval_fn(elems)
+            if res:
+                return elems, res
+        return None
+    for w, run in runs:
+        found = _scan(levels, eval_fn, t + 1, s + w, head + run)
+        if found:
+            return found
+    return None
+
+
+@lru_cache(maxsize=64)  # room for every block shape of a suite at a few (d, n)
+def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
+    """Per block: its (weight, basis tuple) runs in lex order, the weight sums
+    through it that can still reach a target, and its kept runs per prefix sum.
 
     A skew block runs over strictly increasing runs of basis vectors and a
-    plain block over all of them; the product of lex-ordered block iterators
-    is itself lex-ordered.  Returns (tuples visited, first failing tuple of
-    elements, residual), the last two None on a pass.
+    plain block over all of them.  Nothing here depends on the components
+    beyond the weights, so the lists serve every check with the same key.
     """
-    parts = [
-        combinations(basis, size) if skew else iproduct(basis, repeat=size)
-        for size, skew in blocks
-    ]
-    visited = 0
-    for combo in iproduct(*parts):
-        elems = tuple(chain.from_iterable(combo))
-        visited += 1
-        res = eval_fn(elems)
-        if res:
-            return visited, elems, res
-    return visited, None, None
+    d = len(weights)
+    basis = [_keyed({t: 1}, t) for t in range(d)]
+    parts = []
+    for size, skew in blocks:
+        runs = combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
+        parts.append([(sum(weights[i] for i in run), tuple(basis[i] for i in run)) for run in runs])
+    reach = [targets]
+    for pairs in reversed(parts[1:]):
+        reach.append({r - w for r in reach[-1] for w in {w for w, _ in pairs}})
+    return [(pairs, ok, {}) for pairs, ok in zip(parts, reversed(reach))]
 
 
 def _boundary(identity, product, bracket, derivation, samples: int = 1):
@@ -650,9 +753,9 @@ def _boundary(identity, product, bracket, derivation, samples: int = 1):
         raise InputError(f"not an identity id: {_shown(identity)}")
     _integer(samples, "samples", 1)
     definition = _DEFS[identity]
-    used = (definition.needs_product, definition.needs_bracket, definition.needs_derivation)
+    used = (definition.needs_product, definition.brackets, definition.ders)
     d = _components(identity.name, product, bracket, derivation, used)
-    n = bracket.arity if definition.needs_bracket else 0
+    n = bracket.arity if definition.brackets else 0
     return definition, d, n
 
 
@@ -664,19 +767,23 @@ def check_identity(
 ) -> CheckReport:
     """Verify one identity exhaustively; ``run_suite`` checks a set of them.
 
-    The scan visits only the canonical tuples, whose skew blocks are strictly
-    increasing (see the module docstring), yet the report is the one a full
-    sequential scan of all d**length tuples gives: ``tuples_checked`` is
-    d**length on a pass and the lex rank of the counterexample plus one on a
-    failure.  DER_BRK counts strictly increasing tuples instead: all of them
-    on a pass, the counterexample's position among them on a failure.
+    The scan visits only the canonical tuples that the grading keeps (see
+    the module docstring), yet the report is the one a full sequential scan
+    of all d**length tuples gives: ``tuples_checked`` is d**length on a pass
+    and the lex rank of the counterexample plus one on a failure.  DER_BRK
+    counts strictly increasing tuples instead: all of them on a pass, the
+    counterexample's position among them on a failure.
     """
     definition, d, n = _boundary(identity, product, bracket, derivation)
     blocks = definition.blocks(n)
+    m = sum(size for size, _ in blocks)
 
     start = time.perf_counter()
-    ops, basis = _kernel_ops(definition, product, bracket, derivation, d, n)
-    visited, ce, res = _scan(basis, blocks, partial(definition.residual, ops))
+    ops = _kernel_ops(definition, product, bracket, derivation, d, n, m)
+    weights, shift = _grading(definition, product, bracket, derivation, d, m)
+    targets = frozenset(w - shift for w in weights)
+    levels = _levels(weights, blocks, targets)
+    ce, res = _scan(levels, partial(definition.residual, ops)) or (None, None)
     if res is not None:
         ce = tuple(map(_key, ce))  # a basis vector's key is its index
         if definition.coordinate:
@@ -685,9 +792,10 @@ def check_identity(
         res = ElementVector(tuple(res.get(k, 0) for k in range(d)))
     elapsed = time.perf_counter() - start
     if definition.increasing_only:
-        checked = visited
+        # comb(d, m) minus the increasing tuples after ce: ce's rank plus one
+        checked = comb(d, m) - sum(comb(d - 1 - c, m - i) for i, c in enumerate(ce or ()))
     elif ce is None:
-        checked = d ** (sum(size for size, _ in blocks) + definition.coordinate)
+        checked = d ** (m + definition.coordinate)
     else:
         checked = _lex_rank(ce, d) + 1
     status = "pass" if ce is None else "fail"
@@ -710,15 +818,13 @@ def run_suite(
     bracket = system.bracket(bracket_name)
     derivation = system.derivation(derivation_name) if derivation_name is not None else None
     if ids is None:
-        wanted = [
-            i for i in IdentityId if derivation is not None or not _DEFS[i].needs_derivation
-        ]
+        wanted = [i for i in IdentityId if derivation is not None or not _DEFS[i].ders]
     else:
         ids = _listed(ids, "ids")
         for i in ids:
             if not isinstance(i, IdentityId):
                 raise InputError(f"ids: not an identity id: {_shown(i)}")
-            if _DEFS[i].needs_derivation and derivation is None:
+            if _DEFS[i].ders and derivation is None:
                 raise InputError(f"{i.name} requires a derivation name")
         wanted = [i for i in IdentityId if i in ids]
     return [

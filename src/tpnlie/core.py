@@ -51,6 +51,11 @@ def _shown(value) -> str:
         text = str(value) if isinstance(value, BaseException) else repr(value)
     except (ValueError, RecursionError):  # an int past str()'s digit limit; deep nesting
         return f"<{type(value).__name__} too large to show>"
+    return _cut(text)
+
+
+def _cut(text: str) -> str:
+    """``text`` cut after 80 characters to a prefix, "…" and the full length."""
     return text if len(text) <= 80 else f"{text[:80]}… ({len(text)} chars)"
 
 
@@ -456,14 +461,14 @@ class AlgebraSystem:
         try:
             return self.brackets[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
-            known = ", ".join(sorted(self.brackets)) or "none"
+            known = _cut(", ".join(sorted(self.brackets)) or "none")
             raise InputError(f"unknown bracket {_shown(name)} (available: {known})") from None
 
     def derivation(self, name: str) -> DerivationMatrix:
         try:
             return self.derivations[name]
         except (KeyError, TypeError):
-            known = ", ".join(sorted(self.derivations)) or "none"
+            known = _cut(", ".join(sorted(self.derivations)) or "none")
             raise InputError(f"unknown derivation {_shown(name)} (available: {known})") from None
 
     def with_bracket(self, name: str, bracket: SkewBracket) -> "AlgebraSystem":

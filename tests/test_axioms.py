@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from tpnlie import (
     basis_vectors,
     binary_sweep_corpus,
     bracket_apply,
+    build_tower,
     check_identity,
     extend_bracket,
     formal_derivative,
@@ -444,7 +446,7 @@ def _compare_with_oracle(product, bracket, derivation):
     """Whole-report equality for every applicable identity; returns the reports."""
     reports = []
     for ident in I:
-        if derivation is None and axioms._DEFS[ident].needs_derivation:
+        if derivation is None and axioms._DEFS[ident].ders:
             continue
         engine = check_identity(ident, product=product, bracket=bracket, derivation=derivation)
         oracle = full_cube_report(ident, product, bracket, derivation)
@@ -628,6 +630,141 @@ def test_memo_memory_stays_bounded_on_a_dense_passing_system():
         tracemalloc.stop()
     assert report.passed and report.tuples_checked == 6**6
     assert peak < 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# the weight-graded scan: skipped tuples have residual zero
+
+
+@st.composite
+def _graded_components(draw):
+    """A product, bracket and D whose constants sit only on the cells that are
+    homogeneous for drawn integer weights and shifts, and in some draws one
+    more constant that may break homogeneity."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3))
+    w = draw(st.lists(st.integers(-2, 3), min_size=d, max_size=d))
+    shift_b, shift_d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+
+    def constant(homogeneous):
+        return draw(_small) if homogeneous else Fraction(0)
+
+    cube = [[[constant(w[k] == w[i] + w[j]) for k in range(d)] for j in range(d)] for i in range(d)]
+    entries = {
+        key: [constant(w[k] == sum(w[i] for i in key) + shift_b) for k in range(d)]
+        for key in combinations(range(d), n)
+    }
+    matrix = [[constant(w[k] == w[j] + shift_d) for j in range(d)] for k in range(d)]
+    if draw(st.booleans()):
+        where = draw(st.sampled_from(["product", "bracket", "derivation"] if entries else
+                                     ["product", "derivation"]))
+        i, j, k = (draw(st.integers(0, d - 1)) for _ in range(3))
+        value = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+        if where == "product":
+            cube[i][j][k] = value
+        elif where == "bracket":
+            entries[draw(st.sampled_from(sorted(entries)))][k] = value
+        else:
+            matrix[k][j] = value
+    return ProductTensor(d, cube), SkewBracket(d, n, entries), DerivationMatrix(d, matrix)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graded_components(), st.sampled_from(list(I)))
+def test_graded_scan_matches_full_cube_on_graded_inputs(components, ident):
+    p, b, D = components
+    assert check_identity(ident, product=p, bracket=b, derivation=D) == full_cube_report(
+        ident, p, b, D
+    )
+
+
+def _relabeled(product, bracket, derivation, perm):
+    """The same algebra with basis vector t renamed perm[t]."""
+    d = product.dim
+    new = [e(d, t) for t in perm]
+
+    def coords(v):
+        return tuple(v.coords[t] for t in perm)
+
+    cube = [[coords(multiply(product, x, y)) for y in new] for x in new]
+    entries = {
+        key: coords(bracket_apply(bracket, [new[t] for t in key]))
+        for key in combinations(range(d), bracket.arity)
+    }
+    images = [coords(derivation.apply(x)) for x in new]
+    return (
+        ProductTensor(d, cube),
+        SkewBracket(d, bracket.arity, entries),
+        DerivationMatrix(d, list(zip(*images))),
+    )
+
+
+@pytest.fixture()
+def evaluated(monkeypatch):
+    """A counter of residual evaluations, over every identity."""
+    calls = [0]
+
+    def counting(residual):
+        def wrapped(ops, elems):
+            calls[0] += 1
+            return residual(ops, elems)
+
+        return wrapped
+
+    monkeypatch.setattr(axioms, "_DEFS", {
+        i: dataclasses.replace(definition, residual=counting(definition.residual))
+        for i, definition in axioms._DEFS.items()
+    })
+    return calls
+
+
+def test_der_brk_rank_counts_the_skipped_increasing_tuples(w4, evaluated):
+    # Reversed, Q[t]/(t^4) has weights 3, 2, 1, 0, so (0, 1) and (0, 2) are
+    # skipped.  D maps t^3 to itself and kills the rest: homogeneous, yet it
+    # fails the Leibniz rule over the Euler bracket first at (1, 2).
+    p, b, _ = _relabeled(w4.product, w4.brackets["b1"], w4.derivation("euler"), (3, 2, 1, 0))
+    D = DerivationMatrix(4, [[1, 0, 0, 0]] + [[0] * 4] * 3)
+    report = check_identity(I.DER_BRK, product=p, bracket=b, derivation=D)
+    assert report == full_cube_report(I.DER_BRK, p, b, D)
+    assert report.counterexample == (1, 2) and report.tuples_checked == 4
+    evaluated[0] = 0
+    check_identity(I.DER_BRK, product=p, bracket=b, derivation=D)
+    assert evaluated[0] == 2
+
+
+def test_graded_scan_skips_what_it_measured_skipping(evaluated):
+    # Residual evaluations on the benchmark's towers and sweep, and none
+    # skipped on a dense system: a silent fallback to full enumeration, or
+    # pruning that stops working, fails here.
+    evaluated[0] = 0
+    for shape, derivations in (((2, 2), ["d2", "d2"]), ((2, 3), ["d2"])):
+        build_tower(make_tensor_trunc(*shape), "b_d1", derivations)
+    assert evaluated[0] <= 51
+
+    instances = binary_sweep_corpus(0, 112)
+    evaluated[0] = 0
+    for inst in instances:
+        for ident in I:
+            if inst.derivation is not None or not axioms._DEFS[ident].ders:
+                check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
+    assert evaluated[0] <= 46_609
+
+    system = random_system(4, 3, 1, seed=3)
+    p, b, D = system.product, system.bracket("b"), system.derivation("d")
+    for ident in I:
+        evaluated[0] = 0
+        report = check_identity(ident, p, b, D)
+        definition = axioms._DEFS[ident]
+        runs = [
+            combinations(range(4), size) if skew else iproduct(range(4), repeat=size)
+            for size, skew in definition.blocks(3)
+        ]
+        canonical = [tuple(chain(*run)) for run in iproduct(*runs)]
+        if report.passed:
+            assert evaluated[0] == len(canonical), ident.name
+        else:
+            head = report.counterexample[: len(canonical[0])]
+            assert evaluated[0] == canonical.index(head) + 1, ident.name
 
 
 # ---------------------------------------------------------------------------

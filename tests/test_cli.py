@@ -236,6 +236,22 @@ def test_error_echoing_a_long_value_stays_one_short_line(capsys, tmp_path, path,
     assert where in err
 
 
+@pytest.mark.parametrize("kind", ["bracket", "derivation"])
+def test_unknown_name_lists_the_known_names_in_one_short_line(capsys, tmp_path, kind):
+    # The "available: ..." list used to join every name of the file uncut.
+    doc = json.loads(json.dumps(W4_DOC))
+    table = doc[kind + "s"]
+    table["x" * 5000] = next(iter(table.values()))
+    file = tmp_path / "long.json"
+    file.write_text(json.dumps(doc))
+    argv = ["check", str(file), "--bracket", "b1", "--suite", "DER_MUL", "--derivation", "euler"]
+    argv[argv.index("b1" if kind == "bracket" else "euler")] = "nope"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) <= 500, err
+    assert f"unknown {kind} 'nope'" in err
+
+
 def test_check_json_output_stable(capsys):
     args = ["check", W4, "--bracket", "b1", "--derivation", "euler", "--format", "json"]
     assert main(args) == 0
