@@ -20,13 +20,15 @@ engine visits only those.  ``tuples_checked`` keeps the full-cube count
 all the same (see ``check_identity``).
 
 A grading skips more.  ``_grading`` solves exactly for integer weights w on
-the basis and shifts s_b, s_D under which every constant the identity uses
-is homogeneous: w_k = w_i + w_j for a product constant, w_k = sum w_i + s_b
-for a bracket one, w_k = w_j + s_D for one of D.  Each term of a residual
-applies the bracket and D a fixed number of times, so on basis vectors it
-has weight sum w + shift, and a tuple whose weight matches no basis vector
-has residual zero.  The engine skips those tuples, so the first failing one
-does not move, and the report's counts come from its lex rank, not the walk.
+the basis and shifts s_b, s_D under which the constants are homogeneous
+(w_k = w_i + w_j for a product constant, w_k = sum w_i + s_b for a bracket
+one, w_k = w_j + s_D for one of D); a D or bracket that fits no grading the
+others fit gets instead the set of the shifts of its constants.  The terms
+of a residual apply the bracket and D a fixed number of times, so on basis
+vectors their weights are the tuple's weight sum plus sums of that many
+shifts; the engine skips each tuple for which none of these is a basis
+weight, whose residual is zero, so the first failing tuple does not move,
+and the report's counts come from its lex rank, not the walk.
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -643,9 +645,8 @@ def _insert(echelon: dict, row: _Vec) -> None:
 
 
 def _reduced(vectors, d: int) -> dict | None:
-    """The reduced homogeneity rows of one component, from its constant
-    vectors and the columns each one's output weight is the sum of; None as
-    soon as they force every basis weight equal (rank d), which skips nothing."""
+    """The reduced homogeneity rows of one component, from its constants' values
+    and input columns; None once they force every basis weight equal (rank d)."""
     if any(all(coords) for coords, _ in vectors()):
         return None  # all d outputs of one constant share one weight
     echelon = {}
@@ -658,52 +659,64 @@ def _reduced(vectors, d: int) -> dict | None:
     return echelon
 
 
-def _grading(definition, p, b, D, d: int, m: int) -> tuple[tuple[int, ...], int]:
-    """Integer basis weights under which every constant the identity uses is
-    homogeneous, and the shift each of its terms adds to the sum of its
-    ``m`` arguments' weights (see the module docstring).
+def _point(echelon: dict, d: int, m: int) -> tuple[int, ...]:
+    """The weights of a generic point of what ``echelon`` allows."""
+    free = [c for c in range(d + 2) if c not in echelon]
+    scale = lcm(*(row[c] for c, row in echelon.items()))
+    height = scale * max((abs(v) for row in echelon.values() for v in row.values()), default=1)
+    base = 2 * (m + 5) * height + 1  # past twice any multi-degree difference of m weights
+    x = {f: scale * base**t for t, f in enumerate(free)}
+    for c, row in echelon.items():
+        x[c] = -sum(v * x[f] for f, v in row.items() if f != c) // row[c]
+    return tuple(x[c] for c in range(d))
 
-    The weights and shifts are a generic point of the solution space: its
-    basis vectors combined with the powers of a base past twice any
-    difference of multi-degrees a tuple can make, so two tuples get one
-    weight only if every grading the components admit gives them one.  All
-    weights zero, which skips nothing, when one component alone forces them
-    equal.
+
+def _grading(definition, p, b, D, d: int, m: int) -> tuple[tuple[int, ...], frozenset]:
+    """Integer basis weights, and the targets the sum of a tuple's ``m``
+    weights must hit for its residual to be nonzero (see the module
+    docstring); all weights zero, which skips nothing, when none fit.
     """
     sources = (
         ("product rows", p, definition.needs_product,
          lambda: ((cell, (i, j)) for i, row in enumerate(p.c) for j, cell in enumerate(row))),
-        ("bracket rows", b, definition.brackets,
-         lambda: ((value.coords, key + (d,)) for key, value in b.entries.items())),
         ("derivation rows", D, definition.ders,
          lambda: ((col, (j, d + 1)) for j, col in enumerate(zip(*D.m)))),
+        ("bracket rows", b, definition.brackets,
+         lambda: ((value.coords, key + (d,)) for key, value in b.entries.items())),
     )
-    echelon = {}
+    ungraded = (0,) * d, frozenset((0,))
+    echelon, weights = {}, None
     for kind, component, used, vectors in sources:
         if used:
             rows = _table_of(kind, component, lambda: _reduced(vectors, d))
-            if rows is None:
-                return (0,) * d, 0
-            for row in rows.values():
-                _insert(echelon, row)
-    free = [c for c in range(d + 2) if c not in echelon]
-    scale = lcm(*(row[c] for c, row in echelon.items()))
-    height = scale * max((abs(v) for row in echelon.values() for v in row.values()), default=1)
-    base = 2 * (m + 5) * height + 1
-    x = {f: scale * base**t for t, f in enumerate(free)}
-    for c, row in echelon.items():
-        x[c] = -sum(v * x[f] for f, v in row.items() if f != c) // row[c]
-    return tuple(x[c] for c in range(d)), definition.brackets * x[d] + definition.ders * x[d + 1]
+            joined = dict(echelon)
+            for row in (rows or {}).values():
+                _insert(joined, row)
+            point = rows is not None and _point(joined, d, m)
+            if point and len(set(point)) > 1:
+                echelon, weights = joined, point
+            elif kind == "product rows":
+                return ungraded  # products add no shift, so the product must join
+    if weights is None:
+        return ungraded
+    padded = weights + (0, 0)  # a constant's inputs: its key, without the shift column
+    shifts = {0}
+    for _, _, used, vectors in sources[1:]:
+        cells = vectors() if used else ()
+        steps = {padded[k] - sum(padded[a] for a in args) for coords, args in cells
+                 for k, ck in enumerate(coords) if ck}
+        if len(steps) > d:
+            return ungraded  # too loose: the targets would cost more than they skip
+        for _ in range(used):
+            shifts = {s + t for s in shifts for t in steps}
+    return weights, frozenset(w - s for w in weights for s in shifts)
 
 
 def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
-    """Walk the kept canonical tuples in lex order up to the first nonzero residual.
-
-    ``levels`` come from ``_levels``.  From block t on, the walk extends
-    ``head``, whose weight sum is ``s``, only by the block runs after which
-    a target is still within reach, so it visits no skipped tuple, and
-    nesting lex-ordered block lists keeps it in lex order.  Returns (first
-    failing tuple of elements, residual), or None on a pass.
+    """Walk the kept canonical tuples in lex order up to the first nonzero
+    residual: from block t on, extend ``head`` (weight sum ``s``) only by the
+    runs of ``levels`` (see ``_levels``) after which a target is still within
+    reach.  Returns (first failing tuple of elements, residual), or None.
     """
     pairs, reach, kept = levels[t]
     runs = kept.get(s)
@@ -725,13 +738,10 @@ def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
 
 @lru_cache(maxsize=64)  # room for every block shape of a suite at a few (d, n)
 def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
-    """Per block: its (weight, basis tuple) runs in lex order, the weight sums
-    through it that can still reach a target, and its kept runs per prefix sum.
-
-    A skew block runs over strictly increasing runs of basis vectors and a
-    plain block over all of them.  Nothing here depends on the components
-    beyond the weights, so the lists serve every check with the same key.
-    """
+    """Per block: its (weight, basis tuple) runs in lex order (all runs of a
+    plain block, the strictly increasing ones of a skew block), the weight
+    sums through it that can still reach a target, and its kept runs per
+    prefix sum.  The lists depend on nothing but the key."""
     d = len(weights)
     basis = [_keyed({t: 1}, t) for t in range(d)]
     parts = []
@@ -740,7 +750,7 @@ def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list
         parts.append([(sum(weights[i] for i in run), tuple(basis[i] for i in run)) for run in runs])
     reach = [targets]
     for pairs in reversed(parts[1:]):
-        reach.append({r - w for r in reach[-1] for w in {w for w, _ in pairs}})
+        reach.append({r - w for w in {w for w, _ in pairs} for r in reach[-1]})
     return [(pairs, ok, {}) for pairs, ok in zip(parts, reversed(reach))]
 
 
@@ -780,8 +790,7 @@ def check_identity(
 
     start = time.perf_counter()
     ops = _kernel_ops(definition, product, bracket, derivation, d, n, m)
-    weights, shift = _grading(definition, product, bracket, derivation, d, m)
-    targets = frozenset(w - shift for w in weights)
+    weights, targets = _grading(definition, product, bracket, derivation, d, m)
     levels = _levels(weights, blocks, targets)
     ce, res = _scan(levels, partial(definition.residual, ops)) or (None, None)
     if res is not None:

@@ -28,11 +28,13 @@ from tpnlie import (
     bracket_apply,
     build_tower,
     check_identity,
+    derivation_bracket,
     extend_bracket,
     formal_derivative,
     make_tensor_trunc,
     make_truncated_poly,
     multiply,
+    poly_derivation,
     random_system,
     run_suite,
     sampled_verdict,
@@ -638,23 +640,23 @@ def test_memo_memory_stays_bounded_on_a_dense_passing_system():
 
 @st.composite
 def _graded_components(draw):
-    """A product, bracket and D whose constants sit only on the cells that are
-    homogeneous for drawn integer weights and shifts, and in some draws one
-    more constant that may break homogeneity."""
+    """A product homogeneous for drawn integer weights, a bracket and D whose
+    constants each shift the weight by one of one or two drawn shifts, and in
+    some draws one more constant that may break homogeneity."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(2, 3))
     w = draw(st.lists(st.integers(-2, 3), min_size=d, max_size=d))
-    shift_b, shift_d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    shifts_b, shifts_d = (draw(st.sets(st.integers(-2, 2), min_size=1, max_size=2)) for _ in "bd")
 
     def constant(homogeneous):
         return draw(_small) if homogeneous else Fraction(0)
 
     cube = [[[constant(w[k] == w[i] + w[j]) for k in range(d)] for j in range(d)] for i in range(d)]
     entries = {
-        key: [constant(w[k] == sum(w[i] for i in key) + shift_b) for k in range(d)]
+        key: [constant(w[k] - sum(w[i] for i in key) in shifts_b) for k in range(d)]
         for key in combinations(range(d), n)
     }
-    matrix = [[constant(w[k] == w[j] + shift_d) for j in range(d)] for k in range(d)]
+    matrix = [[constant(w[k] - w[j] in shifts_d) for j in range(d)] for k in range(d)]
     if draw(st.booleans()):
         where = draw(st.sampled_from(["product", "bracket", "derivation"] if entries else
                                      ["product", "derivation"]))
@@ -676,6 +678,33 @@ def test_graded_scan_matches_full_cube_on_graded_inputs(components, ident):
     assert check_identity(ident, product=p, bracket=b, derivation=D) == full_cube_report(
         ident, p, b, D
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.sets(st.integers(-1, 2), min_size=2, max_size=3),
+    st.sets(st.integers(-1, 2), min_size=1, max_size=3),
+    st.data(),
+    st.sampled_from(list(I)),
+)
+def test_shift_sets_match_full_cube_on_truncated_polynomials(m, shifts_b, shifts_d, data, ident):
+    # Q[t]/(t^m) is graded by degree alone, so a bracket (and a map D) whose
+    # constants raise degree by two or more amounts joins no grading and is
+    # checked through its set of shifts; every shift must count, or a
+    # failing tuple reached through one of them would be skipped.
+    base = make_truncated_poly(m)
+
+    def constant(homogeneous):
+        return data.draw(_small) if homogeneous else Fraction(0)
+
+    entries = {
+        key: [constant(k - sum(key) in shifts_b) for k in range(m)]
+        for key in combinations(range(m), 2)
+    }
+    matrix = [[constant(k - j in shifts_d) for j in range(m)] for k in range(m)]
+    b, D = SkewBracket(m, 2, entries), DerivationMatrix(m, matrix)
+    assert check_identity(ident, base.product, b, D) == full_cube_report(ident, base.product, b, D)
 
 
 def _relabeled(product, bracket, derivation, perm):
@@ -732,9 +761,25 @@ def test_der_brk_rank_counts_the_skipped_increasing_tuples(w4, evaluated):
     assert evaluated[0] == 2
 
 
+def test_mixed_derivation_is_skipped_through_its_set_of_shifts(evaluated):
+    # D = (t + t^2) d/dt on Q[t]/(t^5) raises degree by 0 and by 1, so D and
+    # its bracket fit no grading of the product's that keeps the weights
+    # apart; with shifts {0, 1} the scan still skips every tuple whose degree
+    # sum lands past t^4, and nothing else moves.
+    base = make_truncated_poly(5)
+    D = poly_derivation(5, [1, 1])
+    b = derivation_bracket(base.product, D)
+    for ident in I:
+        evaluated[0] = 0
+        report = check_identity(ident, base.product, b, D)
+        if ident in (I.NP2, I.DER_MUL):
+            assert report.passed and evaluated[0] == {I.NP2: 24, I.DER_MUL: 15}[ident]
+        assert report == full_cube_report(ident, base.product, b, D), ident.name
+
+
 def test_graded_scan_skips_what_it_measured_skipping(evaluated):
     # Residual evaluations on the benchmark's towers and sweep, and none
-    # skipped on a dense system: a silent fallback to full enumeration, or
+    # skipped on dense systems: a silent fallback to full enumeration, or
     # pruning that stops working, fails here.
     evaluated[0] = 0
     for shape, derivations in (((2, 2), ["d2", "d2"]), ((2, 3), ["d2"])):
@@ -747,11 +792,15 @@ def test_graded_scan_skips_what_it_measured_skipping(evaluated):
         for ident in I:
             if inst.derivation is not None or not axioms._DEFS[ident].ders:
                 check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
-    assert evaluated[0] <= 46_609
+    assert evaluated[0] <= 16_768
 
+    # The zero product fits every grading, and the dense bracket and D then
+    # have more than d shifts each: ungraded again, not a blown-up target set.
     system = random_system(4, 3, 1, seed=3)
-    p, b, D = system.product, system.bracket("b"), system.derivation("d")
-    for ident in I:
+    b, D = system.bracket("b"), system.derivation("d")
+    zero = ProductTensor(4, [[[0] * 4] * 4] * 4)
+    cases = [(system.product, i) for i in I] + [(zero, i) for i in I if i not in (I.COMM, I.ASSOC)]
+    for p, ident in cases:
         evaluated[0] = 0
         report = check_identity(ident, p, b, D)
         definition = axioms._DEFS[ident]
