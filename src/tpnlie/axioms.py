@@ -19,16 +19,19 @@ tuple, one whose skew blocks are strictly increasing, and the single scan
 engine visits only those.  ``tuples_checked`` keeps the full-cube count
 all the same (see ``check_identity``).
 
-A grading skips more.  ``_grading`` solves exactly for integer weights w on
-the basis and shifts s_b, s_D under which the constants are homogeneous
-(w_k = w_i + w_j for a product constant, w_k = sum w_i + s_b for a bracket
-one, w_k = w_j + s_D for one of D); a D or bracket that fits no grading the
-others fit gets instead the set of the shifts of its constants.  The terms
-of a residual apply the bracket and D a fixed number of times, so on basis
-vectors their weights are the tuple's weight sum plus sums of that many
-shifts; the engine skips each tuple for which none of these is a basis
-weight, whose residual is zero, so the first failing tuple does not move,
-and the report's counts come from its lex rank, not the walk.
+A grading skips more.  ``_weights`` solves exactly, for one component
+alone, for integer weights w on the basis and a shift s under which its
+constants are homogeneous (w_k = w_i + w_j + s for a product constant,
+w_k = sum w_i + s for a bracket one, w_k = w_j + s for one of D); a check
+takes the weights of the first component it uses (product, D, bracket)
+that has any, and gives every component it uses the set of the shifts of
+its constants under them.  Each term of a residual applies the product,
+the bracket and D a fixed number of times (``_IdentityDef``), so on basis
+vectors its weights are the tuple's weight sum plus sums of one shift of
+each component per application; the engine skips each tuple for which none
+of these is a basis weight, whose residual is zero, so the first failing
+tuple does not move, and the report's counts come from its lex rank, not
+the walk.
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -425,7 +428,7 @@ def _pairs(coords) -> tuple:
 # One slot per kind: the last product, bracket and D the kernel read, each
 # with its lazily filled table.  Components are immutable, and every caller
 # checks one many times in a row, so one slot of each kind is enough.
-# The reduced homogeneity rows of each (see ``_grading``) are kept the same way.
+# The weights of each (see ``_weights``) are kept the same way.
 _held = {}
 
 
@@ -470,7 +473,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
         return value
 
     mul = brk = der = None
-    if definition.needs_product:
+    if definition.products:
         c = p.c
         cells = _table_of("product", p, lambda: [[None] * d for _ in range(d)])
         products = {}
@@ -561,9 +564,9 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
 
 @dataclass(frozen=True)
 class _IdentityDef:
-    needs_product: bool
-    # Every term of the residual applies the bracket ``brackets`` times and
-    # D ``ders`` times; products add no shift to a term's weight.
+    # Every term of the residual applies the product ``products`` times, the
+    # bracket ``brackets`` times and D ``ders`` times.
+    products: int
     brackets: int
     ders: int
     blocks: Callable[[int], tuple[tuple[int, bool], ...]]
@@ -577,34 +580,26 @@ class _IdentityDef:
 
 
 _DEFS: dict[IdentityId, _IdentityDef] = {
-    IdentityId.NL: _IdentityDef(False, 2, 0, lambda n: ((n, True), (n - 1, True)), _res_nl),
-    IdentityId.TP: _IdentityDef(True, 1, 0, lambda n: ((1, False), (n, True)), _res_tp),
-    IdentityId.NP1: _IdentityDef(True, 1, 0, lambda n: ((n + 1, True),), _res_np1),
-    IdentityId.NP2: _IdentityDef(
-        True, 2, 0, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2
-    ),
-    IdentityId.NP3: _IdentityDef(True, 2, 0, lambda n: ((n - 1, True), (n + 1, True)), _res_np3),
-    IdentityId.NP4: _IdentityDef(
-        True, 1, 0, lambda n: ((1, False), (1, False), (n, True)), _res_np4
-    ),
+    IdentityId.NL: _IdentityDef(0, 2, 0, lambda n: ((n, True), (n - 1, True)), _res_nl),
+    IdentityId.TP: _IdentityDef(1, 1, 0, lambda n: ((1, False), (n, True)), _res_tp),
+    IdentityId.NP1: _IdentityDef(1, 1, 0, lambda n: ((n + 1, True),), _res_np1),
+    IdentityId.NP2: _IdentityDef(1, 2, 0, lambda n: ((1, False), (n - 1, True), (n, True)), _res_np2),
+    IdentityId.NP3: _IdentityDef(1, 2, 0, lambda n: ((n - 1, True), (n + 1, True)), _res_np3),
+    IdentityId.NP4: _IdentityDef(2, 1, 0, lambda n: ((1, False), (1, False), (n, True)), _res_np4),
     IdentityId.STRONG: _IdentityDef(
-        True, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
+        2, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_strong
     ),
     IdentityId.SCALE: _IdentityDef(
-        True, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
+        2, 1, 0, lambda n: ((1, False), (2, True), (n - 1, True)), _res_scale
     ),
-    IdentityId.DER_MUL: _IdentityDef(True, 0, 1, lambda n: ((1, False), (1, False)), _res_der_mul),
+    IdentityId.DER_MUL: _IdentityDef(1, 0, 1, lambda n: ((1, False), (1, False)), _res_der_mul),
     IdentityId.DER_BRK: _IdentityDef(
-        False, 1, 1, lambda n: ((n, True),), _res_der_brk, increasing_only=True
+        0, 1, 1, lambda n: ((n, True),), _res_der_brk, increasing_only=True
     ),
-    IdentityId.LEM1: _IdentityDef(True, 1, 2, lambda n: ((n + 1, True),), _res_lem1),
-    IdentityId.LEM2: _IdentityDef(True, 1, 2, lambda n: ((n + 1, True),), _res_lem2),
-    IdentityId.COMM: _IdentityDef(
-        True, 0, 0, lambda n: ((2, False),), _res_comm, coordinate=True
-    ),
-    IdentityId.ASSOC: _IdentityDef(
-        True, 0, 0, lambda n: ((3, False),), _res_assoc, coordinate=True
-    ),
+    IdentityId.LEM1: _IdentityDef(1, 1, 2, lambda n: ((n + 1, True),), _res_lem1),
+    IdentityId.LEM2: _IdentityDef(1, 1, 2, lambda n: ((n + 1, True),), _res_lem2),
+    IdentityId.COMM: _IdentityDef(1, 0, 0, lambda n: ((2, False),), _res_comm, coordinate=True),
+    IdentityId.ASSOC: _IdentityDef(2, 0, 0, lambda n: ((3, False),), _res_assoc, coordinate=True),
 }
 
 
@@ -619,8 +614,8 @@ def _lex_rank(idx: tuple[int, ...], d: int) -> int:
     return rank
 
 
-# The grading.  A homogeneity row is a ``_Vec`` over the columns w_0..w_{d-1}
-# (the basis weights), d (the bracket's shift) and d + 1 (the shift of D).
+# The grading.  A homogeneity row of a component is a ``_Vec`` over the
+# columns w_0..w_{d-1} (the basis weights) and d (the component's shift).
 
 
 def _primitive(row: _Vec, pivot: int) -> _Vec:
@@ -644,70 +639,56 @@ def _insert(echelon: dict, row: _Vec) -> None:
         echelon[p] = row
 
 
-def _reduced(vectors, d: int) -> dict | None:
-    """The reduced homogeneity rows of one component, from its constants' values
-    and input columns; None once they force every basis weight equal (rank d)."""
+def _weights(vectors, d: int) -> tuple[int, ...] | None:
+    """A generic integer point of the basis weights under which one component,
+    from its constants' values and inputs, shifts weight by one amount; None
+    when its homogeneity rows force every weight equal (rank d)."""
     if any(all(coords) for coords, _ in vectors()):
         return None  # all d outputs of one constant share one weight
     echelon = {}
     for coords, args in vectors():
         for k, ck in enumerate(coords):
             if ck:
-                _insert(echelon, _Vec({k: 1}) - _Vec(Counter(args)))
+                _insert(echelon, _Vec({k: 1}) - _Vec(Counter(args + (d,))))
                 if len(echelon) == d:
                     return None
-    return echelon
-
-
-def _point(echelon: dict, d: int, m: int) -> tuple[int, ...]:
-    """The weights of a generic point of what ``echelon`` allows."""
-    free = [c for c in range(d + 2) if c not in echelon]
+    free = [c for c in range(d + 1) if c not in echelon]
     scale = lcm(*(row[c] for c, row in echelon.items()))
     height = scale * max((abs(v) for row in echelon.values() for v in row.values()), default=1)
-    base = 2 * (m + 5) * height + 1  # past twice any multi-degree difference of m weights
+    # Any base skips exactly; this one keeps apart any two sums of at most 32
+    # weights that differ as combinations of the free columns.
+    base = 64 * height + 1
     x = {f: scale * base**t for t, f in enumerate(free)}
     for c, row in echelon.items():
         x[c] = -sum(v * x[f] for f, v in row.items() if f != c) // row[c]
     return tuple(x[c] for c in range(d))
 
 
-def _grading(definition, p, b, D, d: int, m: int) -> tuple[tuple[int, ...], frozenset]:
-    """Integer basis weights, and the targets the sum of a tuple's ``m``
-    weights must hit for its residual to be nonzero (see the module
-    docstring); all weights zero, which skips nothing, when none fit.
+def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
+    """Integer basis weights, and the targets the weight sum of a tuple must
+    hit for its residual to be nonzero (see the module docstring); all
+    weights zero, which skips nothing, when none fit.
     """
-    sources = (
-        ("product rows", p, definition.needs_product,
+    sources = [source for source in (
+        ("product weights", p, definition.products,
          lambda: ((cell, (i, j)) for i, row in enumerate(p.c) for j, cell in enumerate(row))),
-        ("derivation rows", D, definition.ders,
-         lambda: ((col, (j, d + 1)) for j, col in enumerate(zip(*D.m)))),
-        ("bracket rows", b, definition.brackets,
-         lambda: ((value.coords, key + (d,)) for key, value in b.entries.items())),
-    )
+        ("derivation weights", D, definition.ders,
+         lambda: ((col, (j,)) for j, col in enumerate(zip(*D.m)))),
+        ("bracket weights", b, definition.brackets,
+         lambda: ((value.coords, key) for key, value in b.entries.items())),
+    ) if source[2]]
     ungraded = (0,) * d, frozenset((0,))
-    echelon, weights = {}, None
-    for kind, component, used, vectors in sources:
-        if used:
-            rows = _table_of(kind, component, lambda: _reduced(vectors, d))
-            joined = dict(echelon)
-            for row in (rows or {}).values():
-                _insert(joined, row)
-            point = rows is not None and _point(joined, d, m)
-            if point and len(set(point)) > 1:
-                echelon, weights = joined, point
-            elif kind == "product rows":
-                return ungraded  # products add no shift, so the product must join
+    points = (_table_of(kind, c, lambda: _weights(vectors, d)) for kind, c, _, vectors in sources)
+    weights = next(filter(None, points), None)
     if weights is None:
         return ungraded
-    padded = weights + (0, 0)  # a constant's inputs: its key, without the shift column
     shifts = {0}
-    for _, _, used, vectors in sources[1:]:
-        cells = vectors() if used else ()
-        steps = {padded[k] - sum(padded[a] for a in args) for coords, args in cells
+    for _, _, count, vectors in sources:
+        steps = {weights[k] - sum(weights[a] for a in args) for coords, args in vectors()
                  for k, ck in enumerate(coords) if ck}
         if len(steps) > d:
             return ungraded  # too loose: the targets would cost more than they skip
-        for _ in range(used):
+        for _ in range(count):
             shifts = {s + t for s in shifts for t in steps}
     return weights, frozenset(w - s for w in weights for s in shifts)
 
@@ -763,7 +744,7 @@ def _boundary(identity, product, bracket, derivation, samples: int = 1):
         raise InputError(f"not an identity id: {_shown(identity)}")
     _integer(samples, "samples", 1)
     definition = _DEFS[identity]
-    used = (definition.needs_product, definition.brackets, definition.ders)
+    used = (definition.products, definition.brackets, definition.ders)
     d = _components(identity.name, product, bracket, derivation, used)
     n = bracket.arity if definition.brackets else 0
     return definition, d, n
@@ -790,7 +771,7 @@ def check_identity(
 
     start = time.perf_counter()
     ops = _kernel_ops(definition, product, bracket, derivation, d, n, m)
-    weights, targets = _grading(definition, product, bracket, derivation, d, m)
+    weights, targets = _grading(definition, product, bracket, derivation, d)
     levels = _levels(weights, blocks, targets)
     ce, res = _scan(levels, partial(definition.residual, ops)) or (None, None)
     if res is not None:

@@ -187,7 +187,7 @@ class ElementVector:
 
     def __add__(self, other: "ElementVector") -> "ElementVector":
         if len(self.coords) != len(other.coords):
-            raise InputError("vector dimension mismatch")
+            raise _dim_error("vector sum", self.dim, (other,))
         if not self.support():
             return other
         if not other.support():
@@ -196,7 +196,7 @@ class ElementVector:
 
     def __sub__(self, other: "ElementVector") -> "ElementVector":
         if len(self.coords) != len(other.coords):
-            raise InputError("vector dimension mismatch")
+            raise _dim_error("vector difference", self.dim, (other,))
         if not other.support():
             return self
         if not self.support():
@@ -207,6 +207,12 @@ class ElementVector:
         if self.is_zero():
             return self
         return ElementVector(tuple(-c for c in self.coords))
+
+
+def _dim_error(what: str, d: int, vectors) -> InputError:
+    # The error of a public op given a vector whose dimension is not d.
+    got = next(v.dim for v in vectors if v.dim != d)
+    return InputError(f"{what}: expected dimension {d}, got {got}")
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +290,7 @@ def multiply(product: ProductTensor, x: ElementVector, y: ElementVector) -> Elem
     """The bilinear product x * y expanded in coordinates."""
     d = product.dim
     if x.dim != d or y.dim != d:
-        raise InputError(f"multiply: operands must have dimension {d}")
+        raise _dim_error("multiply", d, (x, y))
     acc = [_ZERO] * d
     for i, xi in x.support():
         for j, yj in y.support():
@@ -337,7 +343,7 @@ def bracket_apply(bracket: SkewBracket, args: Sequence[ElementVector]) -> Elemen
     if len(args) != n:
         raise InputError(f"bracket of arity {n} applied to {len(args)} arguments")
     if any(a.dim != d for a in args):
-        raise InputError(f"bracket arguments must have dimension {d}")
+        raise _dim_error("bracket_apply", d, args)
     acc = [_ZERO] * d
     for combo in iproduct(*(a.support() for a in args)):
         key, sign = _sorted_sign([i for i, _ in combo])
@@ -376,7 +382,7 @@ class DerivationMatrix:
 
     def apply(self, x: ElementVector) -> ElementVector:
         if x.dim != self.dim:
-            raise InputError(f"derivation applied to vector of wrong dimension")
+            raise _dim_error("DerivationMatrix.apply", self.dim, (x,))
         acc = [_ZERO] * self.dim
         for j, xj in x.support():
             for k, row in enumerate(self.m):

@@ -120,9 +120,28 @@ def test_multiply_nilpotent_square(tp22):
     assert multiply(tp22.product, e(4, 1), e(4, 1)).is_zero()
 
 
-def test_multiply_dimension_mismatch(w4):
-    with pytest.raises(InputError):
-        multiply(w4.product, vec(1, 2), vec(3, 4))
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda w4: multiply(w4.product, vec(1, 2), vec(3, 4)), "multiply: expected dimension 4, got 2"),
+        (lambda w4: multiply(w4.product, e(4, 0), vec(3, 4)), "multiply: expected dimension 4, got 2"),
+        (
+            lambda w4: bracket_apply(w4.brackets["b1"], [e(4, 0), e(3, 1)]),
+            "bracket_apply: expected dimension 4, got 3",
+        ),
+        (
+            lambda w4: w4.derivation("euler").apply(e(3, 0)),
+            "DerivationMatrix.apply: expected dimension 4, got 3",
+        ),
+        (lambda w4: e(4, 0) + e(2, 0), "vector sum: expected dimension 4, got 2"),
+        (lambda w4: e(2, 0) - e(5, 0), "vector difference: expected dimension 2, got 5"),
+    ],
+    ids=["multiply-x", "multiply-y", "bracket_apply", "derivation-apply", "sum", "difference"],
+)
+def test_public_ops_name_both_dimensions(w4, op, message):
+    with pytest.raises(InputError) as info:
+        op(w4)
+    assert str(info.value) == message
 
 
 def _random_vec(dim, rng):
