@@ -43,12 +43,11 @@ An integral constant is held as an ``int`` and any other as a
 ``Fraction``, so the arithmetic stays exact.  The tables of the last
 product, bracket and ``D`` checked are kept for the next check of the
 same object, since a suite, a tower level or a sweep instance checks one
-component many times in a row.  The kernel's ops memoise inner terms such
-as ``h*[y_i, x..]`` across tuples, for one ``check_identity`` call only:
-a basis vector is keyed by its index, a stored
-result by a fresh int, and a result is stored only when its arguments are
-keyed and use fewer quantified elements than the tuple has, which bounds
-the memo by the terms of shorter tuples.  Each identity is
+component many times in a row.  The ops memoise nothing across tuples:
+the grading leaves few tuples to evaluate (51 on the two towers, 16 750
+on the acceptance sweep), on mostly basis-vector arguments, so a stored
+inner term such as ``h*[y_i, x..]`` would save only a table read or two
+and cost a key per call.  Each identity is
 transcribed once, as a function of an ops record (COMM and ASSOC too, on
 element pairs and triples, reported at the residual's first nonzero
 coordinate); ``sampled_verdict`` runs the same transcription through the
@@ -65,10 +64,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, count
+from itertools import combinations
 from itertools import product as iproduct
 from math import comb, gcd, lcm
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .core import (
@@ -330,9 +328,9 @@ def _res_assoc(ops, e):
 # ---------------------------------------------------------------------------
 # The ops the residuals run on.  ``_public_ops`` goes through the validating
 # ``multiply``, ``bracket_apply`` and ``DerivationMatrix.apply``.
-# ``_kernel_ops`` evaluates over a memo that lives for one ``check_identity``
-# call and over tables that live while their component holds its slot in
-# ``_held``, after the boundary checks, so nothing is validated per tuple.
+# ``_kernel_ops`` evaluates over tables that live while their component holds
+# its slot in ``_held``, after the boundary checks, so nothing is validated
+# per tuple.
 
 
 @dataclass(frozen=True)
@@ -355,15 +353,9 @@ def _public_ops(p, b, D, d: int, n: int) -> _Ops:
 
 
 class _Vec(dict):
-    """A kernel vector: basis index -> nonzero coefficient; never mutated once built.
-
-    A sum, a negation, a ``scaled`` result and an op result the memo did not
-    store are plain ``_Vec``s, whose ``key`` is None: an op applied to one is
-    computed and never stored.
-    """
+    """A kernel vector: basis index -> nonzero coefficient; never mutated once built."""
 
     __slots__ = ()
-    key = None
 
     def __add__(self, other):
         if not other:
@@ -398,22 +390,16 @@ class _Vec(dict):
         return _Vec({k: a * v for k, v in self.items()})
 
 
-class _Keyed(_Vec):
-    """A kernel vector with a memo key: a basis vector or a stored op result."""
-
-    __slots__ = ("key",)
-
-
-def _keyed(items, key) -> _Keyed:
-    vec = _Keyed(items)
-    vec.key = key
-    return vec
-
-
-# The ops are multilinear, so each returns this shared zero, unmemoised,
-# as soon as one argument is zero.
+# The ops are multilinear, so each returns this shared zero as soon as one
+# argument is zero.
 _ZERO_VEC = _Vec()
-_key = attrgetter("key")
+
+
+def _pruned(acc: dict) -> _Vec:
+    # An op's value from its accumulator, without the entries that cancelled.
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _Vec(acc) if acc else _ZERO_VEC
 
 
 def _exact(value: Fraction):
@@ -440,51 +426,23 @@ def _table_of(kind: str, component, new: Callable):
     return table
 
 
-def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
-    """Table-driven, memoised ops over ``_Vec``s.
+def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
+    """Table-driven ops over ``_Vec``s.
 
     Tables are read from the components' dense constants cell by cell, on
     first use, and kept in ``_held`` for the next check of the same
-    component.  Each op memoises its results on its arguments' keys: a basis
-    vector's key is its index and a stored result gets a fresh int.  A result
-    is stored only when every argument has a key and together they use fewer
-    of the tuple's ``m`` quantified elements (leaves) than all of them; one
-    that uses every leaf rarely recurs, and storing it would grow the memo
-    with the number of tuples.
+    component.  Nothing is memoised across tuples: the graded scan evaluates
+    few tuples, and their arguments are mostly basis vectors, for which a
+    memo hit saves a table read or two.
     """
-    leaves = dict.fromkeys(range(d), 1)
-    fresh = count(d)
-
-    def keep(memo, key, parts, acc):
-        # The op's value from its accumulator, stored under ``key`` when the
-        # leaf rule allows; ``parts`` are the arguments' keys (an unkeyed
-        # argument counts as every leaf).
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
-        used = m if None in parts else sum(map(leaves.__getitem__, parts))
-        if used >= m:
-            return _Vec(acc) if acc else _ZERO_VEC
-        if acc:
-            value = _keyed(acc, next(fresh))
-            leaves[value.key] = used
-        else:
-            value = _ZERO_VEC
-        memo[key] = value
-        return value
-
     mul = brk = der = None
     if definition.products:
         c = p.c
         cells = _table_of("product", p, lambda: [[None] * d for _ in range(d)])
-        products = {}
 
         def mul(x, y):
             if not x or not y:
                 return _ZERO_VEC
-            key = (x.key, y.key)
-            value = products.get(key)
-            if value is not None:
-                return value
             acc = {}
             for i, xi in x.items():
                 row = cells[i]
@@ -495,12 +453,11 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
                     w = xi * yj
                     for k, ck in cell:
                         acc[k] = acc.get(k, 0) + w * ck
-            return keep(products, key, key, acc)
+            return _pruned(acc)
 
     if definition.brackets:
         entries = b.entries
         signed = _table_of("bracket", b, dict)
-        brackets = {}
 
         def lookup(idx):
             # [e_i1, .., e_in] for any index order, filled in on first use.
@@ -515,10 +472,6 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
         def brk(args):
             if not all(args):
                 return _ZERO_VEC
-            key = tuple(map(_key, args))
-            value = brackets.get(key)
-            if value is not None:
-                return value
             acc = {}
             for idx in iproduct(*args):
                 pairs = signed.get(idx)
@@ -530,20 +483,15 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
                         w *= a[i]
                     for k, ck in pairs:
                         acc[k] = acc.get(k, 0) + w * ck
-            return keep(brackets, key, key, acc)
+            return _pruned(acc)
 
     if definition.ders:
         rows = D.m
         cols = _table_of("derivation", D, lambda: [None] * d)
-        images = {}
 
         def der(x):
             if not x:
                 return _ZERO_VEC
-            key = x.key
-            value = images.get(key)
-            if value is not None:
-                return value
             acc = {}
             for j, xj in x.items():
                 col = cols[j]
@@ -551,7 +499,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int, m: int) -> _Ops:
                     col = cols[j] = _pairs([row[j] for row in rows])
                 for k, ck in col:
                     acc[k] = acc.get(k, 0) + xj * ck
-            return keep(images, key, (key,), acc)
+            return _pruned(acc)
 
     return _Ops(mul, brk, der, _ZERO_VEC, n)
 
@@ -717,14 +665,17 @@ def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
     return None
 
 
-@lru_cache(maxsize=64)  # room for every block shape of a suite at a few (d, n)
+# Bounded for memory, not sized to hold every key: one sweep pass over
+# binary_sweep_corpus(0, 112) uses 332 keys, so most calls miss, but holding
+# them all kept 2.4 MB after two passes against 0.4 MB at 64 (tracemalloc).
+@lru_cache(maxsize=64)
 def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
     """Per block: its (weight, basis tuple) runs in lex order (all runs of a
     plain block, the strictly increasing ones of a skew block), the weight
     sums through it that can still reach a target, and its kept runs per
     prefix sum.  The lists depend on nothing but the key."""
     d = len(weights)
-    basis = [_keyed({t: 1}, t) for t in range(d)]
+    basis = [_Vec({t: 1}) for t in range(d)]
     parts = []
     for size, skew in blocks:
         runs = combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
@@ -770,12 +721,12 @@ def check_identity(
     m = sum(size for size, _ in blocks)
 
     start = time.perf_counter()
-    ops = _kernel_ops(definition, product, bracket, derivation, d, n, m)
+    ops = _kernel_ops(definition, product, bracket, derivation, d, n)
     weights, targets = _grading(definition, product, bracket, derivation, d)
     levels = _levels(weights, blocks, targets)
     ce, res = _scan(levels, partial(definition.residual, ops)) or (None, None)
     if res is not None:
-        ce = tuple(map(_key, ce))  # a basis vector's key is its index
+        ce = tuple(map(min, ce))  # a basis vector's one index
         if definition.coordinate:
             k = min(res)
             ce, res = ce + (k,), {k: res[k]}

@@ -50,16 +50,26 @@ def _parse_suite(spec: str) -> list[IdentityId] | None:
     return ids
 
 
-def _print_reports(reports: list[CheckReport], fmt: str) -> None:
+def _format_reports(reports: list[CheckReport], fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps([report_to_dict(r) for r in reports], indent=2))
-        return
+        return json.dumps([report_to_dict(r) for r in reports], indent=2)
+    lines = []
     for r in reports:
         line = f"{r.identity.name}: {r.status} ({r.tuples_checked} tuples, {r.elapsed:.3f}s)"
         if r.counterexample is not None:
             residual = [str(c) for c in r.residual.coords]
             line += f" counterexample={list(r.counterexample)} residual={residual}"
-        print(line)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _print_reports(reports: list[CheckReport], fmt: str) -> None:
+    try:
+        text = _format_reports(reports, fmt)
+    except ValueError:  # str() refuses an int past its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"cannot print the reports: a number has more than {limit} digits") from None
+    print(text)
 
 
 def cmd_check(args) -> int:

@@ -10,6 +10,7 @@ load(save(sys)) == sys rational-for-rational.
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -150,7 +151,11 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
 
 
 def dumps_system(system: AlgebraSystem) -> str:
-    return json.dumps(system_to_dict(system), indent=2) + "\n"
+    try:
+        return json.dumps(system_to_dict(system), indent=2) + "\n"
+    except ValueError:  # str() refuses an int past its digit limit
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"cannot write the system: a number has more than {limit} digits") from None
 
 
 def save_system(system: AlgebraSystem, path) -> None:

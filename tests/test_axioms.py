@@ -566,8 +566,8 @@ def _dense_extension(a, b, seed):
 
 
 def test_kernel_matches_full_cube_on_dense_passing_and_late_failing_inputs():
-    # The memo only pays on a dense system, and only a late failure runs
-    # many memo hits before the counterexample.
+    # Every constant is nonzero, so no tuple is skipped, and a late failure
+    # evaluates the kernel's ops on many tuples before the counterexample.
     p, b, D = _dense_extension(2, 2, seed=1)
     values = [b.entries.get(key, ElementVector.zero(4)) for key in combinations(range(4), 3)]
     constants = [c for cell in chain(*p.c) for c in cell] + [c for v in values for c in v.coords]
@@ -582,7 +582,7 @@ def test_kernel_matches_full_cube_on_dense_passing_and_late_failing_inputs():
     # NP2 passes the whole h = e_0 slab of the cube before it fails.
     assert not np2.passed and np2.tuples_checked > 4**5
 
-    # e_3 * e_2 != e_2 * e_3: a memo that confused x*y with y*x would miss it.
+    # e_3 * e_2 != e_2 * e_3: a kernel that confused x*y with y*x would miss it.
     cube = [[list(cell) for cell in row] for row in p.c]
     cube[3][2][3] += 1
     skewed = ProductTensor(4, cube)
@@ -619,19 +619,21 @@ def test_kernel_tables_follow_the_component_across_interleaved_checks(w4):
     assert oracle["B1"] != oracle["B"] and oracle["mixed"] not in (oracle["A"], oracle["B1"])
 
 
-def test_memo_memory_stays_bounded_on_a_dense_passing_system():
-    # Results that use every quantified element are recomputed, not stored;
-    # storing them made this NP2 scan peak at 2.0 MB instead of 0.54 MB
-    # (Python 3.11).
+def test_check_memory_stays_bounded_on_a_dense_passing_system():
+    # A check holds its tables and one tuple's terms, nothing per tuple: with
+    # cold tables these scans peak at 34, 54 and 22 KB (Python 3.11), and at
+    # about 400 KB each when inner terms were memoised across tuples.
     p, b, _ = _dense_extension(2, 3, seed=5)
-    tracemalloc.start()
-    try:
-        report = check_identity(I.NP2, product=p, bracket=b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.passed and report.tuples_checked == 6**6
-    assert peak < 1_000_000
+    for ident, tuples in ((I.NP2, 6**6), (I.STRONG, 6**5), (I.SCALE, 6**5)):
+        axioms._held.clear()
+        tracemalloc.start()
+        try:
+            report = check_identity(ident, product=p, bracket=b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.tuples_checked == tuples, ident.name
+        assert peak < 128 * 1024, (ident.name, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,43 @@ def test_check_unreadable_file_is_input_error_naming_it(capsys, tmp_path, data):
     assert captured.out == ""
 
 
+# str() refuses ints past this many digits; 0 where it has no limit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT <= 4300, reason="str() of a 6000-digit int must be refused"
+)
+
+
+def _zeros(dim, depth):
+    return "0" if depth == 0 else [_zeros(dim, depth - 1) for _ in range(dim)]
+
+
+def _digit_limit_doc(case):
+    big = "1" + "0" * 3000
+    if case == "NL":
+        # NL passes on the zero bracket, with 4**9999 tuples checked (6021 digits).
+        return {"dimension": 4, "product": _zeros(4, 3),
+                "brackets": {"b": {"arity": 5000, "entries": []}}}
+    # DER_MUL fails at (0, 0) with residual -big**2 (6001 digits).
+    doc = {"dimension": 2, "product": _zeros(2, 3),
+           "brackets": {"b": {"arity": 2, "entries": []}}, "derivations": {"d": _zeros(2, 2)}}
+    doc["product"][0][0][0] = doc["derivations"]["d"][0][0] = big
+    return doc
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", ["NL", "DER_MUL"])
+def test_report_number_past_digit_limit_is_input_error(capsys, tmp_path, case, fmt):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_digit_limit_doc(case)))
+    argv = ["check", str(path), "--bracket", "b", "--suite", case, "--format", fmt]
+    assert main(argv + (["--derivation", "d"] if case == "DER_MUL" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot print the reports: a number has more than {_DIGIT_LIMIT} digits\n"
+    assert captured.out == ""
+
+
 def _paths(node, prefix=()):
     """Every node below a parsed JSON value, as a path of keys and indices."""
     if isinstance(node, dict):
@@ -306,6 +343,24 @@ def test_extend_unknown_derivation(tmp_path, capsys):
     code = main(["extend", TP22, "--bracket", "b_d1", "--derivation", "nope", "-o", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@needs_digit_limit
+def test_extend_constant_past_digit_limit_is_input_error(tmp_path, capsys):
+    # The one extension constant is D(e_0) * [e_1, e_2] = big**3 * e_0 (6001
+    # digits), from constants of 2001 digits each.
+    big = "1" + "0" * 2000
+    doc = {"dimension": 3, "product": _zeros(3, 3),
+           "brackets": {"b": {"arity": 2, "entries": [{"indices": [1, 2], "value": [big, "0", "0"]}]}},
+           "derivations": {"d": _zeros(3, 2)}}
+    doc["product"][0][0][0] = doc["derivations"]["d"][0][0] = big
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["extend", str(src), "--bracket", "b", "--derivation", "d", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write the system: a number has more than {_DIGIT_LIMIT} digits\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_extend_verify_failure_still_writes_file(tmp_path, capsys, w4):
