@@ -31,7 +31,9 @@ vectors its weights are the tuple's weight sum plus sums of one shift of
 each component per application; the engine skips each tuple for which none
 of these is a basis weight, whose residual is zero, so the first failing
 tuple does not move, and the report's counts come from its lex rank, not
-the walk.
+the walk.  What a grading needs of a component (its weights, its nonzero
+constants, its shifts under given weights) is computed once per component
+object, and a block's runs once per weights and shape (``_runs``).
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -414,7 +416,7 @@ def _pairs(coords) -> tuple:
 # One slot per kind: the last product, bracket and D the kernel read, each
 # with its lazily filled table.  Components are immutable, and every caller
 # checks one many times in a row, so one slot of each kind is enough.
-# The weights of each (see ``_weights``) are kept the same way.
+# The grading data of each (see ``_grading``) is kept the same way.
 _held = {}
 
 
@@ -612,28 +614,39 @@ def _weights(vectors, d: int) -> tuple[int, ...] | None:
     return tuple(x[c] for c in range(d))
 
 
+def _once(slot: dict, key, new: Callable):
+    if key not in slot:
+        slot[key] = new()
+    return slot[key]
+
+
 def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
     """Integer basis weights, and the targets the weight sum of a tuple must
     hit for its residual to be nonzero (see the module docstring); all
     weights zero, which skips nothing, when none fit.
+
+    Each component's slot in ``_held`` keeps its "point" (``_weights``), its
+    "support" and its shifts per weights tuple, each built on first use.
     """
-    sources = [source for source in (
-        ("product weights", p, definition.products,
+    slots = [(_table_of(kind, c, dict), count, vectors) for kind, c, count, vectors in (
+        ("product grading", p, definition.products,
          lambda: ((cell, (i, j)) for i, row in enumerate(p.c) for j, cell in enumerate(row))),
-        ("derivation weights", D, definition.ders,
+        ("derivation grading", D, definition.ders,
          lambda: ((col, (j,)) for j, col in enumerate(zip(*D.m)))),
-        ("bracket weights", b, definition.brackets,
+        ("bracket grading", b, definition.brackets,
          lambda: ((value.coords, key) for key, value in b.entries.items())),
-    ) if source[2]]
+    ) if count]
     ungraded = (0,) * d, frozenset((0,))
-    points = (_table_of(kind, c, lambda: _weights(vectors, d)) for kind, c, _, vectors in sources)
+    points = (_once(slot, "point", lambda: _weights(vectors, d)) for slot, _, vectors in slots)
     weights = next(filter(None, points), None)
     if weights is None:
         return ungraded
     shifts = {0}
-    for _, _, count, vectors in sources:
-        steps = {weights[k] - sum(weights[a] for a in args) for coords, args in vectors()
-                 for k, ck in enumerate(coords) if ck}
+    for slot, count, vectors in slots:
+        support = _once(slot, "support", lambda: [
+            (k, args) for coords, args in vectors() for k, ck in enumerate(coords) if ck])
+        steps = _once(slot, weights, lambda: {
+            weights[k] - sum(weights[a] for a in args) for k, args in support})
         if len(steps) > d:
             return ungraded  # too loose: the targets would cost more than they skip
         for _ in range(count):
@@ -665,21 +678,27 @@ def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
     return None
 
 
-# Bounded for memory, not sized to hold every key: one sweep pass over
-# binary_sweep_corpus(0, 112) uses 332 keys, so most calls miss, but holding
-# them all kept 2.4 MB after two passes against 0.4 MB at 64 (tracemalloc).
-@lru_cache(maxsize=64)
-def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
-    """Per block: its (weight, basis tuple) runs in lex order (all runs of a
-    plain block, the strictly increasing ones of a skew block), the weight
-    sums through it that can still reach a target, and its kept runs per
-    prefix sum.  The lists depend on nothing but the key."""
+# Sized to hold a sweep pass (binary_sweep_corpus(seed, 112), build included):
+# 135 keys at seed 0, 118-140 at seeds 0-12, keeping 0.44 MB (tracemalloc).
+@lru_cache(maxsize=256)
+def _runs(weights: tuple[int, ...], size: int, skew: bool) -> list:
+    """A block's (weight, basis tuple) runs in lex order: all runs of a plain
+    block, the strictly increasing ones of a skew block."""
     d = len(weights)
     basis = [_Vec({t: 1}) for t in range(d)]
-    parts = []
-    for size, skew in blocks:
-        runs = combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
-        parts.append([(sum(weights[i] for i in run), tuple(basis[i] for i in run)) for run in runs])
+    runs = combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
+    return [(sum(weights[i] for i in run), tuple(basis[i] for i in run)) for run in runs]
+
+
+# Bounded for memory: that pass uses 332 keys at seed 0, and 528 of its 1 719
+# calls hit; a miss rebuilds only reach sets and kept runs.  Holding every key
+# kept 0.97 MB after two passes, against 0.18 MB at 64 (tracemalloc).
+@lru_cache(maxsize=64)
+def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
+    """Per block: its runs (``_runs``), the weight sums through it that can
+    still reach a target, and its kept runs per prefix sum.  The lists depend
+    on nothing but the key."""
+    parts = [_runs(weights, size, skew) for size, skew in blocks]
     reach = [targets]
     for pairs in reversed(parts[1:]):
         reach.append({r - w for w in {w for w, _ in pairs} for r in reach[-1]})

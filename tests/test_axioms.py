@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations
 from itertools import product as iproduct
@@ -41,6 +42,7 @@ from tpnlie import (
     ternary_sweep_corpus,
 )
 from tpnlie import axioms
+from tpnlie.corpus import _PREMISES, _reports
 
 I = IdentityId
 
@@ -802,6 +804,79 @@ def test_weights_are_eliminated_once_per_component(monkeypatch):
     inserted[0] = 0
     assert all(r.passed for r in run_suite(system, "b_d1", "d2"))
     assert inserted[0] == 0
+
+
+def test_supports_and_shift_sets_are_built_once_and_never_when_ungraded(monkeypatch):
+    # A component's support, and its set of shifts under given weights,
+    # depend on nothing else: a second suite over the same objects builds
+    # none.  A dense component fits no grading and pays for neither: the
+    # hunter's premise chain on dense random systems builds none.
+    built = Counter()
+    once = axioms._once
+
+    def counting_once(slot, key, new):
+        if key not in slot:
+            built[key if key in ("point", "support") else "shifts"] += 1
+        return once(slot, key, new)
+
+    monkeypatch.setattr(axioms, "_once", counting_once)
+    system = make_tensor_trunc(2, 3)
+    run_suite(system, "b_d1", "d2")
+    assert built["support"] == 3 and built["shifts"] >= 3
+    built.clear()
+    assert all(r.passed for r in run_suite(system, "b_d1", "d2"))
+    assert not built
+
+    for seed in range(10):
+        dense = random_system(5, 3, 1, seed)
+        assert not _reports(dense, _PREMISES)[-1].passed
+    assert built["point"] >= 20 and built["support"] == built["shifts"] == 0
+    for kind, component in (("product", dense.product), ("derivation", dense.derivation("d"))):
+        held, slot = axioms._held[kind + " grading"]
+        assert held is component and set(slot) == {"point"}, kind
+
+
+def test_grading_state_does_not_depend_on_check_order():
+    # The systems share one product, and a bracket is graded under the
+    # product's weights in some checks, under D's in others and under its
+    # own in NL, so a shift set served under the wrong weights tuple, or a
+    # run list or level list served under the wrong key, would move a
+    # report.  The last system fails 9 of the 14 identities; its D scales
+    # s*t (e_3) by 1, not by the 2 that D(s)*t + s*D(t) gives.
+    t = make_tensor_trunc(2, 3)
+    p, b, d1, d2 = t.product, t.bracket("b_d1"), t.derivation("d1"), t.derivation("d2")
+    entries = dict(b.entries)
+    entries[max(entries)] = entries[max(entries)].scaled(2)
+    scaling = (0, 1, 1, 1, 2, 2)
+    not_a_derivation = DerivationMatrix(6, [[c if j == k else 0 for j in range(6)]
+                                            for k, c in enumerate(scaling)])
+    systems = {"d1": (b, d1), "d2": (b, d2), "level 1": (extend_bracket(p, b, d2), d2),
+               "failing": (SkewBracket(6, 2, entries), not_a_derivation)}
+    checks = [(name, ident) for name in systems for ident in I]
+    oracle = {(name, i): full_cube_report(i, p, *systems[name]) for name, i in checks}
+    cold = {}
+    for name, i in checks:
+        axioms._held.clear()
+        axioms._levels.cache_clear()
+        axioms._runs.cache_clear()
+        cold[name, i] = check_identity(i, p, *systems[name])
+    assert cold == oracle
+    for order in (checks[::-1], random.Random(15).sample(checks, len(checks))):
+        assert {(name, i): check_identity(i, p, *systems[name]) for name, i in order} == oracle
+
+
+def test_run_list_cache_holds_a_sweep_pass():
+    # One sweep pass uses more run lists than an undersized cache holds, and
+    # then every pass would build most of them again.
+    instances = binary_sweep_corpus(0, 112)
+    axioms._runs.cache_clear()
+    for _ in range(2):
+        for inst in instances:
+            for ident in I:
+                if inst.derivation is not None or not axioms._DEFS[ident].ders:
+                    check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
+    info = axioms._runs.cache_info()
+    assert info.misses == info.currsize > 64  # one miss per key
 
 
 def test_graded_scan_skips_what_it_measured_skipping(evaluated):
