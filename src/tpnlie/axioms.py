@@ -33,7 +33,7 @@ of these is a basis weight, whose residual is zero, so the first failing
 tuple does not move, and the report's counts come from its lex rank, not
 the walk.  What a grading needs of a component (its weights, its nonzero
 constants, its shifts under given weights) is computed once per component
-object, and a block's runs once per weights and shape (``_runs``).
+object (``_kept``), and a block's runs once per weights and shape (``_runs``).
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -42,10 +42,10 @@ vectors, without per-call checks, with a private kernel that alone owns
 its tables: it reads each product cell, ``D`` column and bracket value of
 the components the identity uses from their dense constants on first use.
 An integral constant is held as an ``int`` and any other as a
-``Fraction``, so the arithmetic stays exact.  The tables of the last
-product, bracket and ``D`` checked are kept for the next check of the
-same object, since a suite, a tower level or a sweep instance checks one
-component many times in a row.  The ops memoise nothing across tuples:
+``Fraction``, so the arithmetic stays exact.  Each component keeps its
+tables for every later check of it, since a suite, a tower level or a
+sweep instance checks one component many times, often between checks of
+others.  The ops memoise nothing across tuples:
 the grading leaves few tuples to evaluate (51 on the two towers, 16 750
 on the acceptance sweep), on mostly basis-vector arguments, so a stored
 inner term such as ``h*[y_i, x..]`` would save only a table read or two
@@ -83,6 +83,7 @@ from .core import (
     _listed,
     _shown,
     _sorted_sign,
+    _system,
     bracket_apply,
     multiply,
 )
@@ -330,9 +331,8 @@ def _res_assoc(ops, e):
 # ---------------------------------------------------------------------------
 # The ops the residuals run on.  ``_public_ops`` goes through the validating
 # ``multiply``, ``bracket_apply`` and ``DerivationMatrix.apply``.
-# ``_kernel_ops`` evaluates over tables that live while their component holds
-# its slot in ``_held``, after the boundary checks, so nothing is validated
-# per tuple.
+# ``_kernel_ops`` evaluates over tables kept on their components (``_kept``),
+# after the boundary checks, so nothing is validated per tuple.
 
 
 @dataclass(frozen=True)
@@ -413,34 +413,28 @@ def _pairs(coords) -> tuple:
     return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
 
 
-# One slot per kind: the last product, bracket and D the kernel read, each
-# with its lazily filled table.  Components are immutable, and every caller
-# checks one many times in a row, so one slot of each kind is enough.
-# The grading data of each (see ``_grading``) is kept the same way.
-_held = {}
-
-
-def _table_of(kind: str, component, new: Callable):
-    held, table = _held.get(kind, (None, None))
-    if held is not component:
-        table = new()
-        _held[kind] = (component, table)
-    return table
+# Components are immutable, and what is derived from one depends on nothing
+# else, so it is kept on the component, valid for its lifetime, freed with it.
+def _kept(component, key, new: Callable):
+    derived = vars(component).setdefault("_derived", {})
+    if key not in derived:
+        derived[key] = new()
+    return derived[key]
 
 
 def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
     """Table-driven ops over ``_Vec``s.
 
     Tables are read from the components' dense constants cell by cell, on
-    first use, and kept in ``_held`` for the next check of the same
-    component.  Nothing is memoised across tuples: the graded scan evaluates
+    first use, and kept on the component (``_kept``) for every later check
+    of it.  Nothing is memoised across tuples: the graded scan evaluates
     few tuples, and their arguments are mostly basis vectors, for which a
     memo hit saves a table read or two.
     """
     mul = brk = der = None
     if definition.products:
         c = p.c
-        cells = _table_of("product", p, lambda: [[None] * d for _ in range(d)])
+        cells = _kept(p, "table", lambda: [[None] * d for _ in range(d)])
 
         def mul(x, y):
             if not x or not y:
@@ -459,7 +453,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
 
     if definition.brackets:
         entries = b.entries
-        signed = _table_of("bracket", b, dict)
+        signed = _kept(b, "table", dict)
 
         def lookup(idx):
             # [e_i1, .., e_in] for any index order, filled in on first use.
@@ -489,7 +483,7 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
 
     if definition.ders:
         rows = D.m
-        cols = _table_of("derivation", D, lambda: [None] * d)
+        cols = _kept(D, "table", lambda: [None] * d)
 
         def der(x):
             if not x:
@@ -614,38 +608,30 @@ def _weights(vectors, d: int) -> tuple[int, ...] | None:
     return tuple(x[c] for c in range(d))
 
 
-def _once(slot: dict, key, new: Callable):
-    if key not in slot:
-        slot[key] = new()
-    return slot[key]
-
-
 def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
     """Integer basis weights, and the targets the weight sum of a tuple must
     hit for its residual to be nonzero (see the module docstring); all
     weights zero, which skips nothing, when none fit.
 
-    Each component's slot in ``_held`` keeps its "point" (``_weights``), its
+    Each component keeps (``_kept``) its "point" (``_weights``), its
     "support" and its shifts per weights tuple, each built on first use.
     """
-    slots = [(_table_of(kind, c, dict), count, vectors) for kind, c, count, vectors in (
-        ("product grading", p, definition.products,
+    used = [(c, count, vectors) for c, count, vectors in (
+        (p, definition.products,
          lambda: ((cell, (i, j)) for i, row in enumerate(p.c) for j, cell in enumerate(row))),
-        ("derivation grading", D, definition.ders,
-         lambda: ((col, (j,)) for j, col in enumerate(zip(*D.m)))),
-        ("bracket grading", b, definition.brackets,
-         lambda: ((value.coords, key) for key, value in b.entries.items())),
+        (D, definition.ders, lambda: ((col, (j,)) for j, col in enumerate(zip(*D.m)))),
+        (b, definition.brackets, lambda: ((value.coords, key) for key, value in b.entries.items())),
     ) if count]
     ungraded = (0,) * d, frozenset((0,))
-    points = (_once(slot, "point", lambda: _weights(vectors, d)) for slot, _, vectors in slots)
+    points = (_kept(c, "point", lambda: _weights(vectors, d)) for c, _, vectors in used)
     weights = next(filter(None, points), None)
     if weights is None:
         return ungraded
     shifts = {0}
-    for slot, count, vectors in slots:
-        support = _once(slot, "support", lambda: [
+    for c, count, vectors in used:
+        support = _kept(c, "support", lambda: [
             (k, args) for coords, args in vectors() for k, ck in enumerate(coords) if ck])
-        steps = _once(slot, weights, lambda: {
+        steps = _kept(c, weights, lambda: {
             weights[k] - sum(weights[a] for a in args) for k, args in support})
         if len(steps) > d:
             return ungraded  # too loose: the targets would cost more than they skip
@@ -775,7 +761,7 @@ def run_suite(
     explicitly requesting a derivation-based identity without naming a
     derivation is an input error.
     """
-    bracket = system.bracket(bracket_name)
+    bracket = _system(system).bracket(bracket_name)
     derivation = system.derivation(derivation_name) if derivation_name is not None else None
     if ids is None:
         wanted = [i for i in IdentityId if derivation is not None or not _DEFS[i].ders]

@@ -26,6 +26,7 @@ from .core import (
     SkewBracket,
     _components,
     _listed,
+    _system,
     basis_vectors,
     multiply,
 )
@@ -126,7 +127,7 @@ def build_tower(
     the bracket it is about to extend.  Failures are findings, not errors:
     construction always continues through all steps.
     """
-    current = system.bracket(seed_bracket_name)
+    current = _system(system).bracket(seed_bracket_name)
     maps = [system.derivation(name) for name in _listed(derivation_names, "derivation_names")]
     steps: list[TowerStep] = []
     for k, matrix in enumerate(maps):

@@ -3,9 +3,12 @@
 All scalars are exact rationals (``fractions.Fraction``); there is no floating
 point and no rounding anywhere in the system, so "equals zero" is always a
 decidable, exact question.  Every type in this module is immutable after
-construction (mappings are stored as read-only views) and may be shared
-freely across threads.  Every public entry point checks its arguments with
-the rules here: ``_integer``, ``_bracket_key`` and ``_components``.
+construction (mappings are stored as read-only views; the only later writes
+are private caches of data derived from the fields, such as a vector's
+support and the checkers' tables, which equality, hashing and repr ignore)
+and may be shared freely across threads.  Every public entry point checks
+its arguments with the rules here: ``_integer``, ``_bracket_key``,
+``_components`` and ``_system``.
 """
 
 from __future__ import annotations
@@ -492,3 +495,10 @@ class AlgebraSystem:
         derivations = dict(self.derivations)
         derivations[name] = matrix
         return AlgebraSystem(self.dim, self.product, self.brackets, derivations, self.basis_labels)
+
+
+def _system(value) -> AlgebraSystem:
+    """``value`` if it is an AlgebraSystem; else an InputError naming ``system``."""
+    if not isinstance(value, AlgebraSystem):
+        raise InputError(f"system must be an AlgebraSystem, got {type(value).__name__}")
+    return value

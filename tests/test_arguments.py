@@ -18,6 +18,7 @@ from tpnlie import (
     SkewBracket,
     basis_vectors,
     binary_sweep_corpus,
+    build_tower,
     canonicalize,
     check_identity,
     derivation_bracket,
@@ -30,6 +31,7 @@ from tpnlie import (
     poly_derivation,
     random_system,
     rat,
+    run_suite,
     sampled_verdict,
     tensor_diagonal_derivation,
     ternary_sweep_corpus,
@@ -88,6 +90,8 @@ ENTRY_POINTS = [
     # for a component, "out of range" is a map of another dimension
     ("derivation-bracket", lambda v: derivation_bracket(v, D), "product", P3),
     ("extend-bracket", lambda v: extend_bracket(P, B, v), "derivation", D3),
+    ("run-suite-system", lambda v: run_suite(v, "b1"), "system", None),
+    ("build-tower-system", lambda v: build_tower(v, "b1", ["euler"]), "system", None),
 ]
 
 BAD_VALUES = {"bool": True, "float": 1.0, "str": "x", "none": None}

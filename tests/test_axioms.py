@@ -43,6 +43,7 @@ from tpnlie import (
 )
 from tpnlie import axioms
 from tpnlie.corpus import _PREMISES, _reports
+from tpnlie.files import dumps_system
 
 I = IdentityId
 
@@ -594,8 +595,8 @@ def test_kernel_matches_full_cube_on_dense_passing_and_late_failing_inputs():
 
 
 def test_kernel_tables_follow_the_component_across_interleaved_checks(w4):
-    # The kernel keeps the tables of the last product, bracket and D it read
-    # for the next check of the same object.  Checks that come back to a
+    # Each component keeps its kernel tables for every later check of that
+    # object, and an equal copy builds its own.  Checks that come back to a
     # component, switch to an equal copy of it or to a bracket that differs
     # in one constant must all report what the full cube does.
     A = _rebased(w4.product, w4.brackets["b1"], w4.derivation("euler"), seed=4)
@@ -623,11 +624,11 @@ def test_kernel_tables_follow_the_component_across_interleaved_checks(w4):
 
 def test_check_memory_stays_bounded_on_a_dense_passing_system():
     # A check holds its tables and one tuple's terms, nothing per tuple: with
-    # cold tables these scans peak at 34, 54 and 22 KB (Python 3.11), and at
+    # cold tables (a fresh system each) these scans peak at 20 to 50 KB
+    # (Python 3.11, more when their run lists are not yet cached), and at
     # about 400 KB each when inner terms were memoised across tuples.
-    p, b, _ = _dense_extension(2, 3, seed=5)
     for ident, tuples in ((I.NP2, 6**6), (I.STRONG, 6**5), (I.SCALE, 6**5)):
-        axioms._held.clear()
+        p, b, _ = _dense_extension(2, 3, seed=5)
         tracemalloc.start()
         try:
             report = check_identity(ident, product=p, bracket=b)
@@ -812,14 +813,14 @@ def test_supports_and_shift_sets_are_built_once_and_never_when_ungraded(monkeypa
     # none.  A dense component fits no grading and pays for neither: the
     # hunter's premise chain on dense random systems builds none.
     built = Counter()
-    once = axioms._once
+    kept = axioms._kept
 
-    def counting_once(slot, key, new):
-        if key not in slot:
-            built[key if key in ("point", "support") else "shifts"] += 1
-        return once(slot, key, new)
+    def counting_kept(component, key, new):
+        if key not in vars(component).get("_derived", {}):
+            built[key if isinstance(key, str) else "shifts"] += 1
+        return kept(component, key, new)
 
-    monkeypatch.setattr(axioms, "_once", counting_once)
+    monkeypatch.setattr(axioms, "_kept", counting_kept)
     system = make_tensor_trunc(2, 3)
     run_suite(system, "b_d1", "d2")
     assert built["support"] == 3 and built["shifts"] >= 3
@@ -832,8 +833,7 @@ def test_supports_and_shift_sets_are_built_once_and_never_when_ungraded(monkeypa
         assert not _reports(dense, _PREMISES)[-1].passed
     assert built["point"] >= 20 and built["support"] == built["shifts"] == 0
     for kind, component in (("product", dense.product), ("derivation", dense.derivation("d"))):
-        held, slot = axioms._held[kind + " grading"]
-        assert held is component and set(slot) == {"point"}, kind
+        assert set(vars(component)["_derived"]) - {"table"} == {"point"}, kind
 
 
 def test_grading_state_does_not_depend_on_check_order():
@@ -856,13 +856,65 @@ def test_grading_state_does_not_depend_on_check_order():
     oracle = {(name, i): full_cube_report(i, p, *systems[name]) for name, i in checks}
     cold = {}
     for name, i in checks:
-        axioms._held.clear()
         axioms._levels.cache_clear()
         axioms._runs.cache_clear()
-        cold[name, i] = check_identity(i, p, *systems[name])
+        fresh = [dataclasses.replace(c) for c in (p, *systems[name])]
+        cold[name, i] = check_identity(i, *fresh)
     assert cold == oracle
     for order in (checks[::-1], random.Random(15).sample(checks, len(checks))):
         assert {(name, i): check_identity(i, p, *systems[name]) for name, i in order} == oracle
+
+
+def test_derived_state_is_invisible():
+    # What checks keep on a component is private: it moves no comparison,
+    # hash, repr or saved byte, and a copy starts without it.
+    system = make_tensor_trunc(2, 3)
+    components = (system.product, system.bracket("b_d1"), system.derivation("d2"))
+    fresh = [dataclasses.replace(c) for c in components]
+    saved = dumps_system(system)
+    run_suite(system, "b_d1", "d2")
+
+    def hashed(x):
+        try:
+            return hash(x)
+        except TypeError as exc:  # a bracket holds a mapping proxy
+            return str(exc)
+
+    for component, copy in zip(components, fresh):
+        assert "_derived" in vars(component) and "_derived" not in vars(copy)
+        assert component == copy and hashed(component) == hashed(copy)
+        assert repr(component) == repr(copy)
+        assert "_derived" not in vars(dataclasses.replace(component))
+    assert dumps_system(system) == saved
+
+
+def test_interleaved_towers_reuse_their_products_state(monkeypatch):
+    # The benchmark's two towers alternate two products.  A second round
+    # builds no table, point, support or shift set for either product or its
+    # D; it eliminates weights once for each new extension bracket, in NL.
+    towers = [(make_tensor_trunc(2, 2), ["d2", "d2"]), (make_tensor_trunc(2, 3), ["d2"])]
+    built, eliminated = [], [0]
+    kept, weights = axioms._kept, axioms._weights
+
+    def counting_kept(component, key, new):
+        if key not in vars(component).get("_derived", {}):
+            built.append((component, key))
+        return kept(component, key, new)
+
+    def counting_weights(vectors, d):
+        eliminated[0] += 1
+        return weights(vectors, d)
+
+    monkeypatch.setattr(axioms, "_kept", counting_kept)
+    monkeypatch.setattr(axioms, "_weights", counting_weights)
+    for _ in range(2):
+        built.clear()
+        eliminated[0] = 0
+        steps = [build_tower(system, "b_d1", ders) for system, ders in towers]
+    reused = [c for system, _ in towers for c in (system.product, system.derivation("d2"))]
+    assert not [key for c, key in built if any(c is r for r in reused)]
+    assert all(isinstance(c, SkewBracket) for c, _ in built)
+    assert eliminated[0] == sum(map(len, steps)) == 3
 
 
 def test_run_list_cache_holds_a_sweep_pass():
