@@ -31,9 +31,9 @@ vectors its weights are the tuple's weight sum plus sums of one shift of
 each component per application; the engine skips each tuple for which none
 of these is a basis weight, whose residual is zero, so the first failing
 tuple does not move, and the report's counts come from its lex rank, not
-the walk.  What a grading needs of a component (its weights, its nonzero
-constants, its shifts under given weights) is computed once per component
-object (``_kept``), and a block's runs once per weights and shape (``_runs``).
+the walk.  What a grading needs of a component (its weights, its shifts
+under given weights) is computed once per component object (``core._kept``),
+and a block's runs once per weights and shape (``_runs``).
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -80,6 +80,7 @@ from .core import (
     SkewBracket,
     _components,
     _integer,
+    _kept,
     _listed,
     _shown,
     _sorted_sign,
@@ -413,15 +414,6 @@ def _pairs(coords) -> tuple:
     return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
 
 
-# Components are immutable, and what is derived from one depends on nothing
-# else, so it is kept on the component, valid for its lifetime, freed with it.
-def _kept(component, key, new: Callable):
-    derived = vars(component).setdefault("_derived", {})
-    if key not in derived:
-        derived[key] = new()
-    return derived[key]
-
-
 def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
     """Table-driven ops over ``_Vec``s.
 
@@ -613,8 +605,8 @@ def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
     hit for its residual to be nonzero (see the module docstring); all
     weights zero, which skips nothing, when none fit.
 
-    Each component keeps (``_kept``) its "point" (``_weights``), its
-    "support" and its shifts per weights tuple, each built on first use.
+    Each component keeps (``_kept``) its "point" (``_weights``) and its
+    shifts per weights tuple, each built from its constants on first use.
     """
     used = [(c, count, vectors) for c, count, vectors in (
         (p, definition.products,
@@ -629,10 +621,9 @@ def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
         return ungraded
     shifts = {0}
     for c, count, vectors in used:
-        support = _kept(c, "support", lambda: [
-            (k, args) for coords, args in vectors() for k, ck in enumerate(coords) if ck])
         steps = _kept(c, weights, lambda: {
-            weights[k] - sum(weights[a] for a in args) for k, args in support})
+            weights[k] - sum(weights[a] for a in args)
+            for coords, args in vectors() for k, ck in enumerate(coords) if ck})
         if len(steps) > d:
             return ungraded  # too loose: the targets would cost more than they skip
         for _ in range(count):

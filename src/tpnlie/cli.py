@@ -26,7 +26,7 @@ from .corpus import (
     make_zero_bracket_system,
     random_system,
 )
-from .files import load_system, report_to_dict, save_finding, save_system
+from .files import _text, load_system, report_to_dict, save_finding, save_system
 
 __all__ = ["main", "main_entry"]
 
@@ -64,12 +64,7 @@ def _format_reports(reports: list[CheckReport], fmt: str) -> str:
 
 
 def _print_reports(reports: list[CheckReport], fmt: str) -> None:
-    try:
-        text = _format_reports(reports, fmt)
-    except ValueError:  # str() refuses an int past its digit limit
-        limit = sys.get_int_max_str_digits()
-        raise InputError(f"cannot print the reports: a number has more than {limit} digits") from None
-    print(text)
+    print(_text(lambda: _format_reports(reports, fmt), "print the reports"))
 
 
 def cmd_check(args) -> int:
@@ -181,27 +176,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # check, extend and tower read a bracket of a system file and print reports.
+    on_file = argparse.ArgumentParser(add_help=False)
+    on_file.add_argument("file")
+    on_file.add_argument("--bracket", required=True)
+    on_file.add_argument("--format", choices=("text", "json"), default="text")
 
-    check = sub.add_parser("check", help="verify identities against a system file")
-    check.add_argument("file")
-    check.add_argument("--bracket", required=True)
+    check = sub.add_parser("check", parents=[on_file], help="verify identities against a system file")
     check.add_argument("--derivation")
     check.add_argument("--suite", default="all", help='comma-separated identity ids or "all"')
-    check.add_argument("--format", choices=("text", "json"), default="text")
     check.set_defaults(func=cmd_check)
 
-    extend = sub.add_parser("extend", help="extend a bracket by a derivation")
-    extend.add_argument("file")
-    extend.add_argument("--bracket", required=True)
+    extend = sub.add_parser("extend", parents=[on_file], help="extend a bracket by a derivation")
     extend.add_argument("--derivation", required=True)
     extend.add_argument("-o", "--output", required=True)
     extend.add_argument("--verify", action="store_true", help="run the full suite on the extension")
-    extend.add_argument("--format", choices=("text", "json"), default="text")
     extend.set_defaults(func=cmd_extend)
 
-    tower = sub.add_parser("tower", help="iterate extensions, one derivation per step")
-    tower.add_argument("file")
-    tower.add_argument("--bracket", required=True)
+    tower = sub.add_parser("tower", parents=[on_file], help="iterate extensions, one derivation per step")
     tower.add_argument(
         "--derivation", action="append", required=True,
         help="derivation for the next step; repeat once per step, in order",
@@ -209,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     tower.add_argument("--steps", type=int)
     tower.add_argument("--out-dir")
     tower.add_argument("--no-verify", action="store_true")
-    tower.add_argument("--format", choices=("text", "json"), default="text")
     tower.set_defaults(func=cmd_tower)
 
     gen = sub.add_parser("gen", help="generate a system file from a family")

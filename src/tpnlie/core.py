@@ -4,19 +4,20 @@ All scalars are exact rationals (``fractions.Fraction``); there is no floating
 point and no rounding anywhere in the system, so "equals zero" is always a
 decidable, exact question.  Every type in this module is immutable after
 construction (mappings are stored as read-only views; the only later writes
-are private caches of data derived from the fields, such as a vector's
-support and the checkers' tables, which equality, hashing and repr ignore)
-and may be shared freely across threads.  Every public entry point checks
-its arguments with the rules here: ``_integer``, ``_bracket_key``,
-``_components`` and ``_system``.
+go to one private ``_derived`` dict per object, filled by ``_kept`` with
+data derived from the fields, such as a vector's support and the checkers'
+tables, which equality, hashing and repr ignore) and may be shared freely
+across threads.  Every public entry point checks its arguments with the
+rules here: ``_integer``, ``_bracket_key``, ``_components`` and ``_system``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import product as iproduct
 from itertools import repeat
 from types import MappingProxyType
@@ -98,6 +99,15 @@ def _bracket_key(key, n: int, d: int, what: str) -> tuple[int, ...]:
     return indices
 
 
+# Every type here is immutable, and what is derived from an object depends on
+# nothing else, so ``new()`` is kept on it, valid for its lifetime, freed with it.
+def _kept(obj, key, new: Callable):
+    derived = vars(obj).setdefault("_derived", {})
+    if key not in derived:
+        derived[key] = new()
+    return derived[key]
+
+
 def _mapping(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise InputError(f"{what} must be a mapping, got {type(value).__name__}")
@@ -175,12 +185,8 @@ class ElementVector:
         return not self.support()
 
     def support(self) -> tuple[tuple[int, Fraction], ...]:
-        """Nonzero coordinates as (index, value) pairs; computed once and cached."""
-        cached = self.__dict__.get("_support")
-        if cached is None:
-            cached = tuple((i, c) for i, c in enumerate(self.coords) if c)
-            object.__setattr__(self, "_support", cached)
-        return cached
+        """Nonzero coordinates as (index, value) pairs; computed once (``_kept``)."""
+        return _kept(self, "nonzero", lambda: tuple((i, c) for i, c in enumerate(self.coords) if c))
 
     def scaled(self, a) -> "ElementVector":
         a = rat(a)
@@ -237,19 +243,11 @@ def basis_vectors(dim: int) -> tuple[ElementVector, ...]:
 
 
 def _sorted_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    # Insertion sort counting swaps; sign 0 on a repeated index.
-    idx = list(indices)
-    swaps = 0
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            swaps += 1
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return tuple(idx), 0
-    return tuple(idx), -1 if swaps % 2 else 1
+    # The sign is the parity of the inversions, or 0 on a repeated index.
+    key = tuple(sorted(indices))
+    if len(set(key)) < len(key):
+        return key, 0
+    return key, -1 if sum(a > b for a, b in combinations(indices, 2)) % 2 else 1
 
 
 def canonicalize(indices: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
@@ -448,9 +446,7 @@ class AlgebraSystem:
             ("derivation", self.derivations, DerivationMatrix),
         ):
             for name, part in _mapping(parts, kind + "s").items():
-                # Names are saved as JSON object keys, which are strings.
-                if not isinstance(name, str):
-                    raise InputError(f"{kind} name {_shown(name)} must be a string")
+                _name(kind, name)
                 if not isinstance(part, cls):
                     what = type(part).__name__
                     raise InputError(f"{kind} {_shown(name)} is a {what}, not a {cls.__name__}")
@@ -467,34 +463,39 @@ class AlgebraSystem:
         object.__setattr__(self, "derivations", MappingProxyType(dict(self.derivations)))
 
     def bracket(self, name: str) -> SkewBracket:
-        try:
-            return self.brackets[name]
-        except (KeyError, TypeError):  # TypeError: an unhashable name
-            known = _cut(", ".join(sorted(self.brackets)) or "none")
-            raise InputError(f"unknown bracket {_shown(name)} (available: {known})") from None
+        return self._part("bracket", name)
 
     def derivation(self, name: str) -> DerivationMatrix:
-        try:
-            return self.derivations[name]
-        except (KeyError, TypeError):
-            known = _cut(", ".join(sorted(self.derivations)) or "none")
-            raise InputError(f"unknown derivation {_shown(name)} (available: {known})") from None
+        return self._part("derivation", name)
 
     def with_bracket(self, name: str, bracket: SkewBracket) -> "AlgebraSystem":
         """A copy of the system with one more named bracket."""
-        if name in self.brackets:
-            raise InputError(f"bracket {_shown(name)} already exists")
-        brackets = dict(self.brackets)
-        brackets[name] = bracket
-        return AlgebraSystem(self.dim, self.product, brackets, self.derivations, self.basis_labels)
+        return self._with("bracket", name, bracket)
 
     def with_derivation(self, name: str, matrix: DerivationMatrix) -> "AlgebraSystem":
         """A copy of the system with one more named derivation candidate."""
-        if name in self.derivations:
-            raise InputError(f"derivation {_shown(name)} already exists")
-        derivations = dict(self.derivations)
-        derivations[name] = matrix
-        return AlgebraSystem(self.dim, self.product, self.brackets, derivations, self.basis_labels)
+        return self._with("derivation", name, matrix)
+
+    def _part(self, kind: str, name):
+        parts = getattr(self, kind + "s")
+        try:
+            return parts[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            known = _cut(", ".join(sorted(parts)) or "none")
+            raise InputError(f"unknown {kind} {_shown(name)} (available: {known})") from None
+
+    def _with(self, kind: str, name, part) -> "AlgebraSystem":
+        parts = getattr(self, kind + "s")
+        if _name(kind, name) in parts:
+            raise InputError(f"{kind} {_shown(name)} already exists")
+        return replace(self, **{kind + "s": {**parts, name: part}})
+
+
+def _name(kind: str, name) -> str:
+    # Names are saved as JSON object keys, which are strings.
+    if not isinstance(name, str):
+        raise InputError(f"{kind} name {_shown(name)} must be a string")
+    return name
 
 
 def _system(value) -> AlgebraSystem:

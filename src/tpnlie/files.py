@@ -150,12 +150,18 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     return AlgebraSystem(dim, product, brackets, derivations, labels)
 
 
-def dumps_system(system: AlgebraSystem) -> str:
+def _text(make, what: str) -> str:
+    """``make()``, the text of results; an InputError "cannot ``what``" when
+    str() refuses one of their ints, past its digit limit."""
     try:
-        return json.dumps(system_to_dict(system), indent=2) + "\n"
-    except ValueError:  # str() refuses an int past its digit limit
+        return make()
+    except ValueError:
         limit = sys.get_int_max_str_digits()
-        raise InputError(f"cannot write the system: a number has more than {limit} digits") from None
+        raise InputError(f"cannot {what}: a number has more than {limit} digits") from None
+
+
+def dumps_system(system: AlgebraSystem) -> str:
+    return _text(lambda: json.dumps(system_to_dict(system), indent=2) + "\n", "write the system")
 
 
 def save_system(system: AlgebraSystem, path) -> None:
@@ -220,6 +226,5 @@ def finding_to_dict(finding: Finding) -> dict:
 
 
 def save_finding(finding: Finding, path) -> None:
-    Path(path).write_text(
-        json.dumps(finding_to_dict(finding), indent=2) + "\n", encoding="utf-8"
-    )
+    text = _text(lambda: json.dumps(finding_to_dict(finding), indent=2) + "\n", "write the finding")
+    Path(path).write_text(text, encoding="utf-8")

@@ -158,3 +158,21 @@ def test_validated_mappings_are_read_only():
     # a proxy still compares equal by content
     assert bracket.entries == {(0, 1): ElementVector((0, 1, 0, 0))}
     assert bracket == SkewBracket(4, 2, {(0, 1): (0, 1, 0, 0)})
+
+
+@pytest.mark.parametrize("name", [[1], {}, 1, None], ids=["list", "dict", "int", "none"])
+@pytest.mark.parametrize(
+    "kind, existing, add",
+    [
+        ("bracket", "b1", lambda name: W4.with_bracket(name, SkewBracket.zero(4, 2))),
+        ("derivation", "euler", lambda name: W4.with_derivation(name, DerivationMatrix.zero(4))),
+    ],
+    ids=["with-bracket", "with-derivation"],
+)
+def test_added_parts_need_string_names(kind, existing, add, name):
+    # The rule construction applies, checked before the duplicate test, so an
+    # unhashable name is an input error, not a bare TypeError.
+    with pytest.raises(InputError, match=re.escape(f"{kind} name {name!r} must be a string")):
+        add(name)
+    with pytest.raises(InputError, match=f"{kind} '{existing}' already exists"):
+        add(existing)

@@ -807,23 +807,25 @@ def test_weights_are_eliminated_once_per_component(monkeypatch):
     assert inserted[0] == 0
 
 
-def test_supports_and_shift_sets_are_built_once_and_never_when_ungraded(monkeypatch):
-    # A component's support, and its set of shifts under given weights,
-    # depend on nothing else: a second suite over the same objects builds
-    # none.  A dense component fits no grading and pays for neither: the
-    # hunter's premise chain on dense random systems builds none.
+def test_shift_sets_are_built_once_and_never_when_ungraded(monkeypatch):
+    # A component's set of shifts under given weights depends on nothing
+    # else: a second suite over the same objects builds none, nor any table
+    # or point.  A dense component fits no grading and pays for no shift set:
+    # the hunter's premise chain on dense random systems builds none.
     built = Counter()
     kept = axioms._kept
 
     def counting_kept(component, key, new):
-        if key not in vars(component).get("_derived", {}):
+        def counted():
             built[key if isinstance(key, str) else "shifts"] += 1
-        return kept(component, key, new)
+            return new()
+
+        return kept(component, key, counted)
 
     monkeypatch.setattr(axioms, "_kept", counting_kept)
     system = make_tensor_trunc(2, 3)
     run_suite(system, "b_d1", "d2")
-    assert built["support"] == 3 and built["shifts"] >= 3
+    assert built["point"] == 3 and built["shifts"] >= 3
     built.clear()
     assert all(r.passed for r in run_suite(system, "b_d1", "d2"))
     assert not built
@@ -831,7 +833,7 @@ def test_supports_and_shift_sets_are_built_once_and_never_when_ungraded(monkeypa
     for seed in range(10):
         dense = random_system(5, 3, 1, seed)
         assert not _reports(dense, _PREMISES)[-1].passed
-    assert built["point"] >= 20 and built["support"] == built["shifts"] == 0
+    assert built["point"] >= 20 and built["shifts"] == 0
     for kind, component in (("product", dense.product), ("derivation", dense.derivation("d"))):
         assert set(vars(component)["_derived"]) - {"table"} == {"point"}, kind
 
@@ -890,16 +892,18 @@ def test_derived_state_is_invisible():
 
 def test_interleaved_towers_reuse_their_products_state(monkeypatch):
     # The benchmark's two towers alternate two products.  A second round
-    # builds no table, point, support or shift set for either product or its
-    # D; it eliminates weights once for each new extension bracket, in NL.
+    # builds no table, point or shift set for either product or its D; it
+    # eliminates weights once for each new extension bracket, in NL.
     towers = [(make_tensor_trunc(2, 2), ["d2", "d2"]), (make_tensor_trunc(2, 3), ["d2"])]
     built, eliminated = [], [0]
     kept, weights = axioms._kept, axioms._weights
 
     def counting_kept(component, key, new):
-        if key not in vars(component).get("_derived", {}):
+        def counted():
             built.append((component, key))
-        return kept(component, key, new)
+            return new()
+
+        return kept(component, key, counted)
 
     def counting_weights(vectors, d):
         eliminated[0] += 1

@@ -526,6 +526,23 @@ def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatc
     assert bundle["premise_reports"][0]["identity"] == "NL"
 
 
+@needs_digit_limit
+def test_hunt_finding_past_digit_limit_is_input_error(capsys, tmp_path, monkeypatch, tp22):
+    import tpnlie.cli as cli_mod
+    from tpnlie import Finding, check_identity
+    from tpnlie.axioms import IdentityId as I
+
+    nl = check_identity(I.NL, bracket=tp22.brackets["b_d1"])
+    fake = Finding(17, 10**6000, tp22, "b_d1", "d2", nl, tp22.brackets["b_d1"], (nl,), (nl,))
+    monkeypatch.setattr(cli_mod, "hunt_counterexample", lambda *a, **k: fake)
+    out = tmp_path / "finding.json"
+    assert main(["hunt", "--dim", "4", "--arity", "3", "--trials", "1", "--seed", "0",
+                 "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write the finding: a number has more than {_DIGIT_LIMIT} digits\n"
+    assert captured.out == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 
@@ -558,6 +575,50 @@ def test_calls_in_sequence_match_each_call_made_first(tmp_path, capsys):
     assert [code for code, _ in first] == [0, 0, 2, 0]
     assert "level 2" in first[0][1]
     assert "level 1" in first[1][1] and "level 2" not in first[1][1]
+
+
+# ---------------------------------------------------------------------------
+# the parsers
+
+
+@pytest.mark.parametrize("command", ["check", "extend", "tower"])
+def test_commands_on_a_file_share_its_arguments_in_their_help(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for shown in ("file", "--bracket BRACKET", "--format {text,json}"):
+        assert shown in out, shown
+
+
+# Each command line with the namespace it parsed to before the shared
+# arguments were declared once; ``func`` is given by name.
+NAMESPACES = [
+    (
+        ["check", "s.json", "--bracket", "b1", "--derivation", "euler", "--suite", "NL,TP",
+         "--format", "json"],
+        {"command": "check", "file": "s.json", "bracket": "b1", "derivation": "euler",
+         "suite": "NL,TP", "format": "json", "func": "cmd_check"},
+    ),
+    (
+        ["extend", "--format", "json", "s.json", "--bracket", "b1", "--derivation", "euler",
+         "-o", "out.json", "--verify"],
+        {"command": "extend", "file": "s.json", "bracket": "b1", "derivation": "euler",
+         "output": "out.json", "verify": True, "format": "json", "func": "cmd_extend"},
+    ),
+    (
+        ["tower", "s.json", "--bracket", "b1", "--derivation", "d2", "--derivation", "d2",
+         "--steps", "2", "--out-dir", "out", "--no-verify"],
+        {"command": "tower", "file": "s.json", "bracket": "b1", "derivation": ["d2", "d2"],
+         "steps": 2, "out_dir": "out", "no_verify": True, "format": "text", "func": "cmd_tower"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", NAMESPACES, ids=["check", "extend", "tower"])
+def test_command_lines_parse_to_their_namespaces(argv, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    assert {**parsed, "func": parsed["func"].__name__} == expected
 
 
 # ---------------------------------------------------------------------------

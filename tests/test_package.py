@@ -1,8 +1,12 @@
-"""The package surface: ``tpnlie`` re-exports exactly its modules' public names."""
+"""The package surface: ``tpnlie`` re-exports exactly its modules' public names,
+and imports nothing at runtime but the standard library."""
 
 from __future__ import annotations
 
+import ast
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import tpnlie
 from tpnlie import axioms, construct, core, corpus, files
@@ -32,3 +36,21 @@ def test_star_import_binds_exactly_all():
     exec("from tpnlie import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == tpnlie.__all__
+
+
+def test_runtime_imports_are_stdlib_only():
+    # Every top-level module a source file imports is in the standard
+    # library, or is ``__future__`` or the package itself (relative imports).
+    allowed = set(sys.stdlib_module_names) | {"__future__", "tpnlie"}
+    sources = sorted(Path(tpnlie.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, (path.name, name)
