@@ -33,7 +33,7 @@ of these is a basis weight, whose residual is zero, so the first failing
 tuple does not move, and the report's counts come from its lex rank, not
 the walk.  What a grading needs of a component (its weights, its shifts
 under given weights) is computed once per component object (``core._kept``),
-and a block's runs once per weights and shape (``_runs``).
+and the walk's tables once per weights, blocks and targets (``_levels``).
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -634,13 +634,10 @@ def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
 def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
     """Walk the kept canonical tuples in lex order up to the first nonzero
     residual: from block t on, extend ``head`` (weight sum ``s``) only by the
-    runs of ``levels`` (see ``_levels``) after which a target is still within
-    reach.  Returns (first failing tuple of elements, residual), or None.
+    runs ``levels[t][s]`` (see ``_levels``), which it reads and never writes.
+    Returns (first failing tuple of elements, residual), or None.
     """
-    pairs, reach, kept = levels[t]
-    runs = kept.get(s)
-    if runs is None:
-        runs = kept[s] = [pair for pair in pairs if s + pair[0] in reach]
+    runs = levels[t][s]
     if t + 1 == len(levels):
         for _, tail in runs:
             elems = head + tail
@@ -655,31 +652,31 @@ def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
     return None
 
 
-# Sized to hold a sweep pass (binary_sweep_corpus(seed, 112), build included):
-# 135 keys at seed 0, 118-140 at seeds 0-12, keeping 0.44 MB (tracemalloc).
-@lru_cache(maxsize=256)
-def _runs(weights: tuple[int, ...], size: int, skew: bool) -> list:
-    """A block's (weight, basis tuple) runs in lex order: all runs of a plain
-    block, the strictly increasing ones of a skew block."""
+# Sized to hold every key of a sweep pass (binary_sweep_corpus(seed, 112),
+# build included): 306-355 keys per pass at seeds 0-12, 393 over all 13.  A
+# pass of the benchmark's towers uses 23 keys, of its hunt 1, of its cli 47.
+@lru_cache(maxsize=512)
+def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
+    """Per block, a dict from each weight sum the walk brings to it to the
+    block's (weight, basis tuple) runs, in lex order, after which a target is
+    still within reach: all runs of a plain block, the strictly increasing
+    ones of a skew block.  Built in full, forward from the sum 0, and never
+    written after; the tables depend on nothing but the key."""
     d = len(weights)
     basis = [_Vec({t: 1}) for t in range(d)]
-    runs = combinations(range(d), size) if skew else iproduct(range(d), repeat=size)
-    return [(sum(weights[i] for i in run), tuple(basis[i] for i in run)) for run in runs]
-
-
-# Bounded for memory: that pass uses 332 keys at seed 0, and 528 of its 1 719
-# calls hit; a miss rebuilds only reach sets and kept runs.  Holding every key
-# kept 0.97 MB after two passes, against 0.18 MB at 64 (tracemalloc).
-@lru_cache(maxsize=64)
-def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
-    """Per block: its runs (``_runs``), the weight sums through it that can
-    still reach a target, and its kept runs per prefix sum.  The lists depend
-    on nothing but the key."""
-    parts = [_runs(weights, size, skew) for size, skew in blocks]
+    parts = [
+        [(sum(weights[i] for i in run), tuple(basis[i] for i in run))
+         for run in (combinations(range(d), size) if skew else iproduct(range(d), repeat=size))]
+        for size, skew in blocks
+    ]
     reach = [targets]
     for pairs in reversed(parts[1:]):
         reach.append({r - w for w in {w for w, _ in pairs} for r in reach[-1]})
-    return [(pairs, ok, {}) for pairs, ok in zip(parts, reversed(reach))]
+    levels, sums = [], {0}
+    for pairs, ok in zip(parts, reversed(reach)):
+        levels.append({s: [pair for pair in pairs if s + pair[0] in ok] for s in sums})
+        sums = {s + w for s, runs in levels[-1].items() for w, _ in runs}
+    return levels
 
 
 def _boundary(identity, product, bracket, derivation, samples: int = 1):

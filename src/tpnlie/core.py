@@ -8,7 +8,8 @@ go to one private ``_derived`` dict per object, filled by ``_kept`` with
 data derived from the fields, such as a vector's support and the checkers'
 tables, which equality, hashing and repr ignore) and may be shared freely
 across threads.  Every public entry point checks its arguments with the
-rules here: ``_integer``, ``_bracket_key``, ``_components`` and ``_system``.
+rules here: ``_integer``, ``_bracket_key``, ``_components``, ``_system`` and
+``_vectors``.
 """
 
 from __future__ import annotations
@@ -195,8 +196,7 @@ class ElementVector:
         return ElementVector(tuple(a * c for c in self.coords))
 
     def __add__(self, other: "ElementVector") -> "ElementVector":
-        if len(self.coords) != len(other.coords):
-            raise _dim_error("vector sum", self.dim, (other,))
+        _vectors("vector sum", self.dim, (other,))
         if not self.support():
             return other
         if not other.support():
@@ -204,8 +204,7 @@ class ElementVector:
         return ElementVector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "ElementVector") -> "ElementVector":
-        if len(self.coords) != len(other.coords):
-            raise _dim_error("vector difference", self.dim, (other,))
+        _vectors("vector difference", self.dim, (other,))
         if not other.support():
             return self
         if not self.support():
@@ -218,10 +217,14 @@ class ElementVector:
         return ElementVector(tuple(-c for c in self.coords))
 
 
-def _dim_error(what: str, d: int, vectors) -> InputError:
-    # The error of a public op given a vector whose dimension is not d.
-    got = next(v.dim for v in vectors if v.dim != d)
-    return InputError(f"{what}: expected dimension {d}, got {got}")
+def _vectors(what: str, d: int, vectors) -> None:
+    # The argument rule of a public op: every one of ``vectors`` is an
+    # ElementVector of dimension d; else an InputError that names the op.
+    for v in vectors:
+        if not isinstance(v, ElementVector):
+            raise InputError(f"{what}: expected an ElementVector, got {type(v).__name__}")
+        if len(v.coords) != d:
+            raise InputError(f"{what}: expected dimension {d}, got {v.dim}")
 
 
 @lru_cache(maxsize=None)
@@ -283,15 +286,14 @@ class ProductTensor:
 
     @classmethod
     def zero(cls, dim: int) -> "ProductTensor":
-        row = ((_ZERO,) * dim,) * dim
+        row = ((_ZERO,) * _integer(dim, "dimension", 1),) * dim
         return cls(dim, (row,) * dim)
 
 
 def multiply(product: ProductTensor, x: ElementVector, y: ElementVector) -> ElementVector:
     """The bilinear product x * y expanded in coordinates."""
     d = product.dim
-    if x.dim != d or y.dim != d:
-        raise _dim_error("multiply", d, (x, y))
+    _vectors("multiply", d, (x, y))
     acc = [_ZERO] * d
     for i, xi in x.support():
         for j, yj in y.support():
@@ -341,10 +343,10 @@ class SkewBracket:
 def bracket_apply(bracket: SkewBracket, args: Sequence[ElementVector]) -> ElementVector:
     """Multilinear skew-symmetric extension of the stored basis values."""
     d, n = bracket.dim, bracket.arity
+    args = _listed(args, "bracket_apply arguments")
     if len(args) != n:
         raise InputError(f"bracket of arity {n} applied to {len(args)} arguments")
-    if any(a.dim != d for a in args):
-        raise _dim_error("bracket_apply", d, args)
+    _vectors("bracket_apply", d, args)
     acc = [_ZERO] * d
     for combo in iproduct(*(a.support() for a in args)):
         key, sign = _sorted_sign([i for i, _ in combo])
@@ -379,11 +381,10 @@ class DerivationMatrix:
 
     @classmethod
     def zero(cls, dim: int) -> "DerivationMatrix":
-        return cls(dim, ((_ZERO,) * dim,) * dim)
+        return cls(dim, ((_ZERO,) * _integer(dim, "dimension", 1),) * dim)
 
     def apply(self, x: ElementVector) -> ElementVector:
-        if x.dim != self.dim:
-            raise _dim_error("DerivationMatrix.apply", self.dim, (x,))
+        _vectors("DerivationMatrix.apply", self.dim, (x,))
         acc = [_ZERO] * self.dim
         for j, xj in x.support():
             for k, row in enumerate(self.m):

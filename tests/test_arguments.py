@@ -54,9 +54,13 @@ ENTRY_POINTS = [
     ("canonicalize-index", lambda v: canonicalize((0, v), 4), "index", 4),
     ("canonicalize-indices", lambda v: canonicalize(v, 4), "indices", None),
     ("product-dim", lambda v: ProductTensor(v, [[[0]]]), "dimension", 0),
+    ("product-zero", ProductTensor.zero, "dimension", 0),
     ("derivation-dim", lambda v: DerivationMatrix(v, [[0]]), "dimension", 0),
+    ("derivation-zero", DerivationMatrix.zero, "dimension", 0),
     ("bracket-dim", lambda v: SkewBracket(v, 2, {}), "dimension", 0),
     ("bracket-arity", lambda v: SkewBracket(4, v, {}), "bracket arity", 1),
+    ("bracket-zero-dim", lambda v: SkewBracket.zero(v, 2), "dimension", 0),
+    ("bracket-zero-arity", lambda v: SkewBracket.zero(4, v), "bracket arity", 1),
     ("bracket-key", lambda v: SkewBracket(4, 2, {(0, v): (1, 0, 0, 0)}), "bracket key", 4),
     ("system-dim", lambda v: AlgebraSystem(v, P, {}), "dimension", 0),
     ("trunc-poly", make_truncated_poly, "truncation degree m", 1),

@@ -625,7 +625,7 @@ def test_kernel_tables_follow_the_component_across_interleaved_checks(w4):
 def test_check_memory_stays_bounded_on_a_dense_passing_system():
     # A check holds its tables and one tuple's terms, nothing per tuple: with
     # cold tables (a fresh system each) these scans peak at 20 to 50 KB
-    # (Python 3.11, more when their run lists are not yet cached), and at
+    # (Python 3.11, more when their block tables are not yet cached), and at
     # about 400 KB each when inner terms were memoised across tuples.
     for ident, tuples in ((I.NP2, 6**6), (I.STRONG, 6**5), (I.SCALE, 6**5)):
         p, b, _ = _dense_extension(2, 3, seed=5)
@@ -859,7 +859,6 @@ def test_grading_state_does_not_depend_on_check_order():
     cold = {}
     for name, i in checks:
         axioms._levels.cache_clear()
-        axioms._runs.cache_clear()
         fresh = [dataclasses.replace(c) for c in (p, *systems[name])]
         cold[name, i] = check_identity(i, *fresh)
     assert cold == oracle
@@ -921,18 +920,47 @@ def test_interleaved_towers_reuse_their_products_state(monkeypatch):
     assert eliminated[0] == sum(map(len, steps)) == 3
 
 
+def _check_sweep(instances):
+    # Every identity each instance of a sweep corpus supports.
+    for inst in instances:
+        for ident in I:
+            if inst.derivation is not None or not axioms._DEFS[ident].ders:
+                check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
+
+
 def test_run_list_cache_holds_a_sweep_pass():
-    # One sweep pass uses more run lists than an undersized cache holds, and
-    # then every pass would build most of them again.
+    # One sweep pass uses more block tables than an undersized cache holds,
+    # and then every pass would build most of them again.
     instances = binary_sweep_corpus(0, 112)
-    axioms._runs.cache_clear()
+    axioms._levels.cache_clear()
     for _ in range(2):
-        for inst in instances:
-            for ident in I:
-                if inst.derivation is not None or not axioms._DEFS[ident].ders:
-                    check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
-    info = axioms._runs.cache_info()
-    assert info.misses == info.currsize > 64  # one miss per key
+        _check_sweep(instances)
+    info = axioms._levels.cache_info()
+    assert info.misses == info.currsize >= 300  # one miss per key
+
+
+def test_block_tables_are_never_written_after_they_are_returned(monkeypatch):
+    # The scan only reads what ``_levels`` returns: every table of a sweep
+    # corpus build and two passes over its checks is, at the end, what it was
+    # when first returned.
+    levels, first = axioms._levels, {}
+
+    def copied(tables):
+        return [{s: list(runs) for s, runs in level.items()} for level in tables]
+
+    def recording_levels(*key):
+        tables = levels(*key)
+        if id(tables) not in first:
+            first[id(tables)] = tables, copied(tables)
+        return tables
+
+    monkeypatch.setattr(axioms, "_levels", recording_levels)
+    levels.cache_clear()
+    instances = binary_sweep_corpus(0, 112)
+    for _ in range(2):
+        _check_sweep(instances)
+    assert len(first) >= 300
+    assert all(copied(tables) == copy for tables, copy in first.values())
 
 
 def test_graded_scan_skips_what_it_measured_skipping(evaluated):
@@ -947,10 +975,7 @@ def test_graded_scan_skips_what_it_measured_skipping(evaluated):
     for seed, most in ((0, 16_750), (1, 18_884)):
         instances = binary_sweep_corpus(seed, 112)
         evaluated[0] = 0
-        for inst in instances:
-            for ident in I:
-                if inst.derivation is not None or not axioms._DEFS[ident].ders:
-                    check_identity(ident, inst.system.product, inst.bracket, inst.derivation)
+        _check_sweep(instances)
         assert evaluated[0] <= most, seed
 
     # The zero product fits every grading, and the dense bracket and D then

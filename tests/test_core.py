@@ -135,8 +135,36 @@ def test_multiply_nilpotent_square(tp22):
         ),
         (lambda w4: e(4, 0) + e(2, 0), "vector sum: expected dimension 4, got 2"),
         (lambda w4: e(2, 0) - e(5, 0), "vector difference: expected dimension 2, got 5"),
+        (
+            lambda w4: multiply(w4.product, [1, 0], [0, 1]),
+            "multiply: expected an ElementVector, got list",
+        ),
+        (
+            lambda w4: multiply(w4.product, e(4, 0), (0, 1, 0, 0)),
+            "multiply: expected an ElementVector, got tuple",
+        ),
+        (
+            lambda w4: bracket_apply(w4.brackets["b1"], [e(4, 0), 1]),
+            "bracket_apply: expected an ElementVector, got int",
+        ),
+        (
+            lambda w4: bracket_apply(w4.brackets["b1"], 5),
+            "bracket_apply arguments must be a list, got int",
+        ),
+        (
+            lambda w4: bracket_apply(w4.brackets["b1"], "ab"),
+            "bracket_apply arguments must be a list, got str",
+        ),
+        (
+            lambda w4: w4.derivation("euler").apply((1, 0)),
+            "DerivationMatrix.apply: expected an ElementVector, got tuple",
+        ),
+        (lambda w4: e(4, 0) + [1, 0, 0, 0], "vector sum: expected an ElementVector, got list"),
+        (lambda w4: e(4, 0) - 3, "vector difference: expected an ElementVector, got int"),
     ],
-    ids=["multiply-x", "multiply-y", "bracket_apply", "derivation-apply", "sum", "difference"],
+    ids=["multiply-x", "multiply-y", "bracket_apply", "derivation-apply", "sum", "difference",
+         "multiply-list", "multiply-tuple", "bracket_apply-int-argument", "bracket_apply-int",
+         "bracket_apply-str", "derivation-apply-tuple", "sum-list", "difference-int"],
 )
 def test_public_ops_name_both_dimensions(w4, op, message):
     with pytest.raises(InputError) as info:
