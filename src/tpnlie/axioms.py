@@ -39,8 +39,8 @@ and the walk's tables once per weights, blocks and targets (``_levels``).
 Inputs are validated once, at the boundary that ``check_identity`` and
 ``sampled_verdict`` share.  The scan then evaluates residuals on sparse
 vectors, without per-call checks, with a private kernel that alone owns
-its tables: it reads each product cell, ``D`` column and bracket value of
-the components the identity uses from their dense constants on first use.
+its tables: it reads each product cell and bracket value of the components
+the identity uses from their dense constants on first use, and ``D`` whole.
 An integral constant is held as an ``int`` and any other as a
 ``Fraction``, so the arithmetic stays exact.  Each component keeps its
 tables for every later check of it, since a suite, a tower level or a
@@ -62,6 +62,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -360,14 +361,15 @@ class _Vec(dict):
 
     __slots__ = ()
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        # self + other, or self - other when ``sign`` is -1 (``__sub__``).
         if not other:
             return self
-        if not self:
+        if not self and sign > 0:
             return other
         acc = _Vec(self)
         for k, v in other.items():
-            s = acc.get(k, 0) + v
+            s = acc.get(k, 0) + v if sign > 0 else acc.get(k, 0) - v
             if s:
                 acc[k] = s
             else:
@@ -375,16 +377,7 @@ class _Vec(dict):
         return acc
 
     def __sub__(self, other):
-        if not other:
-            return self
-        acc = _Vec(self)
-        for k, v in other.items():
-            s = acc.get(k, 0) - v
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return acc
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return _Vec({k: -v for k, v in self.items()})
@@ -393,8 +386,8 @@ class _Vec(dict):
         return _Vec({k: a * v for k, v in self.items()})
 
 
-# The ops are multilinear, so each returns this shared zero as soon as one
-# argument is zero.
+# The ops are multilinear, so an op with a zero argument accumulates
+# nothing, and ``_pruned`` returns this shared zero for it.
 _ZERO_VEC = _Vec()
 
 
@@ -405,52 +398,45 @@ def _pruned(acc: dict) -> _Vec:
     return _Vec(acc) if acc else _ZERO_VEC
 
 
-def _exact(value: Fraction):
-    # Integral constants become ints: exact, and far cheaper than Fractions.
-    return value.numerator if value.denominator == 1 else value
-
-
 def _pairs(coords) -> tuple:
-    return tuple((k, _exact(c)) for k, c in enumerate(coords) if c)
+    # The nonzero (k, c); integral ones as ints: exact, and far cheaper than Fractions.
+    return tuple((k, c.numerator if c.denominator == 1 else c) for k, c in enumerate(coords) if c)
 
 
 def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
     """Table-driven ops over ``_Vec``s.
 
-    Tables are read from the components' dense constants cell by cell, on
-    first use, and kept on the component (``_kept``) for every later check
-    of it.  Nothing is memoised across tuples: the graded scan evaluates
-    few tuples, and their arguments are mostly basis vectors, for which a
-    memo hit saves a table read or two.
+    ``D``'s table is built whole on the first check that uses ``D``; product
+    cells and bracket values are read one by one on first use, since a
+    failing check reads few.  Each table is kept on its component
+    (``_kept``) for every later check of it.  Nothing is memoised across
+    tuples: the graded scan evaluates few tuples, and their arguments are
+    mostly basis vectors, for which a memo hit saves a table read or two.
     """
     mul = brk = der = None
     if definition.products:
-        c = p.c
         cells = _kept(p, "table", lambda: [[None] * d for _ in range(d)])
 
         def mul(x, y):
-            if not x or not y:
-                return _ZERO_VEC
             acc = {}
             for i, xi in x.items():
                 row = cells[i]
                 for j, yj in y.items():
                     cell = row[j]
                     if cell is None:
-                        cell = row[j] = _pairs(c[i][j])
+                        cell = row[j] = _pairs(p.c[i][j])
                     w = xi * yj
                     for k, ck in cell:
                         acc[k] = acc.get(k, 0) + w * ck
             return _pruned(acc)
 
     if definition.brackets:
-        entries = b.entries
         signed = _kept(b, "table", dict)
 
         def lookup(idx):
             # [e_i1, .., e_in] for any index order, filled in on first use.
             key, sign = _sorted_sign(idx)
-            value = entries.get(key) if sign else None
+            value = b.entries.get(key) if sign else None
             pairs = () if value is None else _pairs(value.coords)
             if sign < 0:
                 pairs = tuple((k, -ck) for k, ck in pairs)
@@ -458,8 +444,6 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
             return pairs
 
         def brk(args):
-            if not all(args):
-                return _ZERO_VEC
             acc = {}
             for idx in iproduct(*args):
                 pairs = signed.get(idx)
@@ -474,18 +458,12 @@ def _kernel_ops(definition, p, b, D, d: int, n: int) -> _Ops:
             return _pruned(acc)
 
     if definition.ders:
-        rows = D.m
-        cols = _kept(D, "table", lambda: [None] * d)
+        cols = _kept(D, "table", lambda: [_pairs(col) for col in zip(*D.m)])
 
         def der(x):
-            if not x:
-                return _ZERO_VEC
             acc = {}
             for j, xj in x.items():
-                col = cols[j]
-                if col is None:
-                    col = cols[j] = _pairs([row[j] for row in rows])
-                for k, ck in col:
+                for k, ck in cols[j]:
                     acc[k] = acc.get(k, 0) + xj * ck
             return _pruned(acc)
 
@@ -754,7 +732,7 @@ def run_suite(
     if ids is None:
         wanted = [i for i in IdentityId if derivation is not None or not _DEFS[i].ders]
     else:
-        ids = _listed(ids, "ids")
+        ids = ids if isinstance(ids, Set) else _listed(ids, "ids")  # order is ignored
         for i in ids:
             if not isinstance(i, IdentityId):
                 raise InputError(f"ids: not an identity id: {_shown(i)}")

@@ -14,7 +14,7 @@ rules here: ``_integer``, ``_bracket_key``, ``_components``, ``_system`` and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, MappingView, Sequence, Set
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -116,8 +116,9 @@ def _mapping(value, what: str) -> Mapping:
 
 
 def _listed(values, what: str) -> list:
-    # A string is iterable too, but would be read by character.
-    if isinstance(values, str) or not isinstance(values, Iterable):
+    # A string is iterable too, but would be read by character; a set, a
+    # mapping or a view of one holds no order that the caller gave.
+    if isinstance(values, (str, Set, Mapping, MappingView)) or not isinstance(values, Iterable):
         raise InputError(f"{what} must be a list, got {type(values).__name__}")
     return list(values)
 

@@ -106,9 +106,10 @@ def formal_derivative(m: int) -> DerivationMatrix:
     return DerivationMatrix(m, rows)
 
 
-def _tensor_index(i: int, j: int, a: int) -> int:
-    # s-degree varies fastest: 1, s, s^2, .., then t, s*t, ...
-    return j * a + i
+def _tensor_monomials(a: int, b: int) -> list[tuple[int, int]]:
+    # (i, j) of each basis monomial s^i t^j, s-degree fastest: 1, s, s^2, .., t, s*t, ..
+    a, b = _integer(a, "truncation degree a", 2), _integer(b, "truncation degree b", 2)
+    return [(i, j) for j in range(b) for i in range(a)]
 
 
 def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
@@ -118,43 +119,35 @@ def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
     d2 = t*d/dt, plus the binary bracket "b_d1" bootstrapped from d1.
     For a = b = 2 the basis is (1, s, t, s*t).
     """
-    d = _integer(a, "truncation degree a", 2) * _integer(b, "truncation degree b", 2)
+    monomials = _tensor_monomials(a, b)
+    d = len(monomials)
+    index = {m: k for k, m in enumerate(monomials)}
     cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i1 in range(a):
-        for j1 in range(b):
-            for i2 in range(a):
-                for j2 in range(b):
-                    if i1 + i2 < a and j1 + j2 < b:
-                        u = _tensor_index(i1, j1, a)
-                        v = _tensor_index(i2, j2, a)
-                        w = _tensor_index(i1 + i2, j1 + j2, a)
-                        cube[u][v][w] = Fraction(1)
+    for u, (i1, j1) in enumerate(monomials):
+        for v, (i2, j2) in enumerate(monomials):
+            w = index.get((i1 + i2, j1 + j2))
+            if w is not None:
+                cube[u][v][w] = Fraction(1)
     product = ProductTensor(d, cube)
     d1 = tensor_diagonal_derivation(a, b, 1, 0)
     d2 = tensor_diagonal_derivation(a, b, 0, 1)
-    labels = tuple(
-        _monomial_label([("s", i), ("t", j)])
-        for j in range(b)
-        for i in range(a)
-    )
     return AlgebraSystem(
         d,
         product,
         brackets={"b_d1": derivation_bracket(product, d1)},
         derivations={"d1": d1, "d2": d2},
-        basis_labels=labels,
+        basis_labels=[_monomial_label([("s", i), ("t", j)]) for i, j in monomials],
     )
 
 
 def tensor_diagonal_derivation(a: int, b: int, alpha, beta) -> DerivationMatrix:
     """alpha*s*d/ds + beta*t*d/dt on the (a, b) tensor truncation (diagonal)."""
-    d = _integer(a, "truncation degree a", 2) * _integer(b, "truncation degree b", 2)
+    monomials = _tensor_monomials(a, b)
     alpha, beta = rat(alpha), rat(beta)
+    d = len(monomials)
     rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(a):
-        for j in range(b):
-            k = _tensor_index(i, j, a)
-            rows[k][k] = alpha * i + beta * j
+    for k, (i, j) in enumerate(monomials):
+        rows[k][k] = alpha * i + beta * j
     return DerivationMatrix(d, rows)
 
 

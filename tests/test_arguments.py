@@ -18,6 +18,7 @@ from tpnlie import (
     SkewBracket,
     basis_vectors,
     binary_sweep_corpus,
+    bracket_apply,
     build_tower,
     canonicalize,
     check_identity,
@@ -114,6 +115,41 @@ def _cases():
 def test_entry_points_reject_bad_arguments_naming_them(call, what, value):
     with pytest.raises(InputError, match=re.escape(what)):
         call(value)
+
+
+# (entry point, call with an ordered argument in place, its items, the name
+# the message must give)
+ORDERED = [
+    ("bracket-apply", lambda v: bracket_apply(B, v), basis_vectors(4)[1:3],
+     "bracket_apply arguments"),
+    ("canonicalize", lambda v: canonicalize(v, 4), (3, 1), "indices"),
+    ("basis-labels", lambda v: AlgebraSystem(3, P3, {}, basis_labels=v), "xyz", "basis_labels"),
+    ("poly-derivation", lambda v: poly_derivation(3, v), (2, 1), "coeffs"),
+    ("build-tower", lambda v: build_tower(W4, "b1", v), ("euler",), "derivation_names"),
+]
+
+UNORDERED = {
+    "set": set,
+    "frozenset": frozenset,
+    "dict": dict.fromkeys,
+    "dict-keys": lambda items: dict.fromkeys(items).keys(),
+    "dict-values": lambda items: dict(enumerate(items)).values(),
+}
+
+
+@pytest.mark.parametrize("kind", UNORDERED)
+@pytest.mark.parametrize(
+    "call, items, what", [pytest.param(*row[1:], id=row[0]) for row in ORDERED]
+)
+def test_ordered_arguments_refuse_sets_and_mappings(call, items, what, kind):
+    # Their iteration order is not one the caller wrote down: a set of two
+    # bracket arguments could flip the sign of the value, and a dict of
+    # coefficients would be read by its keys.
+    value = UNORDERED[kind](items)
+    message = f"{what} must be a list, got {type(value).__name__}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        call(value)
+    call(list(items))
 
 
 def _nested(depth):

@@ -963,6 +963,57 @@ def test_block_tables_are_never_written_after_they_are_returned(monkeypatch):
     assert all(copied(tables) == copy for tables, copy in first.values())
 
 
+def test_derivation_table_is_built_whole_once_and_never_written(w4):
+    # D is the identity map, so DER_MUL fails at (e_0, e_0) after reading
+    # D's column 0 alone; the whole table is there all the same, and later
+    # checks of D neither rebuild nor change it.
+    D = DerivationMatrix(4, [[int(i == j) for j in range(4)] for i in range(4)])
+    report = check_identity(I.DER_MUL, product=w4.product, derivation=D)
+    assert report.counterexample == (0, 0)
+    table = vars(D)["_derived"]["table"]
+    assert table == [((j, 1),) for j in range(4)]
+    snapshot = list(table)
+    for ident in (I.DER_MUL, I.DER_BRK, I.LEM1, I.LEM2):
+        check_identity(ident, product=w4.product, bracket=w4.bracket("b1"), derivation=D)
+    assert vars(D)["_derived"]["table"] is table and table == snapshot
+
+
+def _plain(left, right, sign):
+    total = {k: left.get(k, 0) + sign * right.get(k, 0) for k in {*left, *right}}
+    return {k: v for k, v in total.items() if v}
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ({}, {0: 1, 2: Fraction(1, 2)}),
+        ({0: Fraction(3, 2)}, {}),
+        ({}, {}),
+        ({0: 1, 1: Fraction(-3, 2)}, {0: 1, 1: Fraction(-3, 2)}),
+        ({0: 2, 1: Fraction(1, 3)}, {0: -2, 1: Fraction(2, 3), 3: 5}),
+    ],
+    ids=["empty-left", "empty-right", "both-empty", "equal", "mixed"],
+)
+def test_kernel_vector_arithmetic_matches_plain_dicts(left, right):
+    x, y = axioms._Vec(left), axioms._Vec(right)
+    for value, expected in ((x + y, _plain(left, right, 1)), (x - y, _plain(left, right, -1)),
+                            (-x, _plain({}, left, -1)), (-y, _plain({}, right, -1))):
+        assert type(value) is axioms._Vec and value == expected and 0 not in value.values()
+    assert x == left and y == right  # the operands are never written
+
+
+def test_kernel_ops_return_the_shared_zero_on_a_zero_argument(w4):
+    ops = axioms._kernel_ops(
+        axioms._DEFS[I.LEM1], w4.product, w4.bracket("b1"), w4.derivation("euler"), 4, 2
+    )
+    zero, e0, e1 = axioms._ZERO_VEC, axioms._Vec({0: 1}), axioms._Vec({1: 1})
+    assert ops.mul(zero, e1) is zero and ops.mul(e1, zero) is zero
+    assert ops.brk((zero, e1)) is zero and ops.brk((e1, zero)) is zero
+    assert ops.der(zero) is zero
+    # and so on a value that cancels: [e_1, e_1] = 0, and D(e_0) = 0 for Euler's D
+    assert ops.brk((e1, e1)) is zero and ops.der(e0) is zero
+
+
 def test_graded_scan_skips_what_it_measured_skipping(evaluated):
     # Residual evaluations on the benchmark's towers and sweep, and none
     # skipped on dense systems: a silent fallback to full enumeration, or
