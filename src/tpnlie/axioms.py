@@ -657,14 +657,13 @@ def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list
     return levels
 
 
-def _boundary(identity, product, bracket, derivation, samples: int = 1):
+def _boundary(identity, product, bracket, derivation):
     """(definition, dimension, arity) of a check, after validating its inputs.
 
     The arity is 0 when the identity uses no bracket.
     """
     if not isinstance(identity, IdentityId):
         raise InputError(f"not an identity id: {_shown(identity)}")
-    _integer(samples, "samples", 1)
     definition = _DEFS[identity]
     used = (definition.products, definition.brackets, definition.ders)
     d = _components(identity.name, product, bracket, derivation, used)
@@ -770,7 +769,8 @@ def sampled_verdict(
     seed: int = 0,
 ) -> str:
     """Evaluate one identity on seeded random element tuples: "pass" or "fail"."""
-    definition, d, n = _boundary(identity, product, bracket, derivation, samples)
+    definition, d, n = _boundary(identity, product, bracket, derivation)
+    _integer(samples, "samples", 1)
     ops = _public_ops(product, bracket, derivation, d, n)
     count = sum(size for size, _ in definition.blocks(n))
     rng = random.Random(_integer(seed, "seed"))

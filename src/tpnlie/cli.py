@@ -94,32 +94,21 @@ def cmd_extend(args) -> int:
 
 def cmd_tower(args) -> int:
     system = load_system(args.file)
-    derivations = list(args.derivation)
-    steps = args.steps if args.steps is not None else len(derivations)
-    if steps != len(derivations):
-        raise InputError(
-            f"--steps is {steps} but {len(derivations)} derivation(s) were given; "
-            "pass one --derivation per step, in order"
-        )
-    levels = build_tower(system, args.bracket, derivations, verify=not args.no_verify)
+    levels = build_tower(system, args.bracket, args.derivation, verify=not args.no_verify)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.file).parent
     stem = Path(args.file).stem
-    current = system
     name = args.bracket
-    ok = True
     for k, level in enumerate(levels, start=1):
         name = f"{name}_ext"
-        current = current.with_bracket(name, level.bracket)
+        system = system.with_bracket(name, level.bracket)
         path = out_dir / f"{stem}_level{k}.json"
-        save_system(current, path)
+        save_system(system, path)
         stored = len(level.bracket.entries)
         print(f"level {k}: bracket {name!r} (arity {level.bracket.arity}, "
               f"{stored} stored entries) -> {path}")
         if level.reports:
             _print_reports(list(level.reports), args.format)
-            if not level.all_passed:
-                ok = False
-    return 0 if ok else 1
+    return 0 if all(level.all_passed for level in levels) else 1
 
 
 def _flag(args, name: str):
@@ -198,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--derivation", action="append", required=True,
         help="derivation for the next step; repeat once per step, in order",
     )
-    tower.add_argument("--steps", type=int)
     tower.add_argument("--out-dir")
     tower.add_argument("--no-verify", action="store_true")
     tower.set_defaults(func=cmd_tower)

@@ -115,25 +115,24 @@ def _mapping(value, what: str) -> Mapping:
     return value
 
 
-def _listed(values, what: str) -> list:
-    # A string is iterable too, but would be read by character; a set, a
-    # mapping or a view of one holds no order that the caller gave.
-    if isinstance(values, (str, Set, Mapping, MappingView)) or not isinstance(values, Iterable):
+def _listed(values, what: str) -> list | tuple:
+    # A list or tuple passes, spared the ABC checks.  A string or bytes would
+    # be read by character; a set, a mapping or a view holds no caller's order.
+    if type(values) in (list, tuple):
+        return values
+    if isinstance(values, (str, bytes, Set, Mapping, MappingView)) or not isinstance(values, Iterable):
         raise InputError(f"{what} must be a list, got {type(values).__name__}")
     return list(values)
 
 
 def _rationals(entries, depth: int, what: str) -> tuple:
-    # ``entries`` nested ``depth`` deep, as tuples of Rationals: the form a
-    # save and a load give back, so equality survives the round trip.
-    try:
-        if depth == 1:
-            return tuple(map(rat, entries))
-        if depth == 2:  # spares a call per row
-            return tuple(tuple(map(rat, row)) for row in entries)
-        return tuple(_rationals(e, depth - 1, what) for e in entries)
-    except TypeError:
-        raise InputError(f"{what}: expected lists of rationals") from None
+    # ``entries``, ``depth`` levels of ``_listed`` lists, as tuples of Rationals:
+    # the form a save and a load give back, so equality survives the round trip.
+    if depth == 1:
+        return tuple(map(rat, _listed(entries, what)))
+    if depth == 2:  # spares a call per row
+        return tuple(tuple(map(rat, _listed(row, what))) for row in _listed(entries, what))
+    return tuple(_rationals(e, depth - 1, what) for e in _listed(entries, what))
 
 
 def rat(value) -> Fraction:
@@ -160,14 +159,11 @@ class ElementVector:
 
     def __post_init__(self) -> None:
         # Coordinates go through ``rat`` like every constructor's constants,
-        # except a tuple of Fractions: what the core ops build, many times.
+        # except a nonempty tuple of Fractions: what the core ops build, many times.
         coords = self.coords
-        if type(coords) is not tuple or not all(map(isinstance, coords, repeat(Fraction))):
+        if not (type(coords) is tuple and coords and all(map(isinstance, coords, repeat(Fraction)))):
             object.__setattr__(self, "coords", _rationals(coords, 1, "vector coordinates"))
-
-    @classmethod
-    def from_coords(cls, coords: Iterable) -> "ElementVector":
-        return cls(coords)
+            _integer(len(self.coords), "vector dimension", 1)
 
     @classmethod
     def zero(cls, dim: int) -> "ElementVector":

@@ -24,6 +24,7 @@ from .core import (
     _bracket_key,
     _integer,
     _shown,
+    _system,
     rat,
 )
 from .corpus import Finding
@@ -50,7 +51,7 @@ def _bracket_to_dict(bracket: SkewBracket) -> dict:
 
 
 def system_to_dict(system: AlgebraSystem) -> dict:
-    doc: dict = {"dimension": system.dim}
+    doc: dict = {"dimension": _system(system).dim}
     if system.basis_labels is not None:
         doc["basis"] = list(system.basis_labels)
     doc["product"] = [
@@ -155,6 +156,8 @@ def _text(make, what: str) -> str:
     str() refuses one of their ints, past its digit limit."""
     try:
         return make()
+    except InputError:  # a ValueError too, raised by a writer's argument check
+        raise
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise InputError(f"cannot {what}: a number has more than {limit} digits") from None
@@ -201,6 +204,8 @@ def load_system(path) -> AlgebraSystem:
 def report_to_dict(report: CheckReport) -> dict:
     """Stable machine form of a report; wall time is deliberately excluded
     so repeated runs emit identical bytes."""
+    if not isinstance(report, CheckReport):
+        raise InputError(f"report must be a CheckReport, got {type(report).__name__}")
     failed = report.counterexample is not None
     return {
         "identity": report.identity.name,
@@ -212,6 +217,8 @@ def report_to_dict(report: CheckReport) -> dict:
 
 
 def finding_to_dict(finding: Finding) -> dict:
+    if not isinstance(finding, Finding):
+        raise InputError(f"finding must be a Finding, got {type(finding).__name__}")
     return {
         "trial": finding.trial,
         "seed": finding.seed,

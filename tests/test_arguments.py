@@ -4,6 +4,7 @@ dimension, and validated objects stay read-only."""
 
 from __future__ import annotations
 
+import os
 import re
 
 import pytest
@@ -24,6 +25,7 @@ from tpnlie import (
     check_identity,
     derivation_bracket,
     extend_bracket,
+    finding_to_dict,
     formal_derivative,
     hunt_counterexample,
     make_tensor_trunc,
@@ -32,8 +34,12 @@ from tpnlie import (
     poly_derivation,
     random_system,
     rat,
+    report_to_dict,
     run_suite,
     sampled_verdict,
+    save_finding,
+    save_system,
+    system_to_dict,
     tensor_diagonal_derivation,
     ternary_sweep_corpus,
 )
@@ -97,6 +103,12 @@ ENTRY_POINTS = [
     ("extend-bracket", lambda v: extend_bracket(P, B, v), "derivation", D3),
     ("run-suite-system", lambda v: run_suite(v, "b1"), "system", None),
     ("build-tower-system", lambda v: build_tower(v, "b1", ["euler"]), "system", None),
+    # the writers: a wrong object is an input error, never a bare AttributeError
+    ("system-to-dict", system_to_dict, "system", None),
+    ("save-system", lambda v: save_system(v, os.devnull), "system", None),
+    ("report-to-dict", report_to_dict, "report", None),
+    ("finding-to-dict", finding_to_dict, "finding", None),
+    ("save-finding", lambda v: save_finding(v, os.devnull), "finding", None),
 ]
 
 BAD_VALUES = {"bool": True, "float": 1.0, "str": "x", "none": None}

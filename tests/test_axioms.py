@@ -10,7 +10,6 @@ from fractions import Fraction
 from itertools import chain, combinations
 from itertools import product as iproduct
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -113,7 +112,7 @@ def test_zero_bracket_satisfies_filippov():
 
 def test_top_wedge_bracket_satisfies_filippov():
     # arity == dim: a single stored entry, both identity sides collapse
-    b = SkewBracket(3, 3, {(0, 1, 2): ElementVector.from_coords((1, 2, 3))})
+    b = SkewBracket(3, 3, {(0, 1, 2): ElementVector((1, 2, 3))})
     assert check_identity(I.NL, bracket=b).passed
 
 
@@ -401,32 +400,23 @@ def test_reports_identical_across_repeated_runs(w4, corrupted_w4):
         assert first == second  # elapsed excluded from equality
 
 
-def public_ops(product, bracket, derivation, d):
-    """The residuals' ops through the public, validating core functions."""
-    return SimpleNamespace(
-        mul=lambda x, y: multiply(product, x, y),
-        brk=lambda args: bracket_apply(bracket, args),
-        der=lambda x: derivation.apply(x),
-        zero=ElementVector.zero(d),
-        n=bracket.arity if bracket is not None else 0,
-    )
-
-
 def full_cube_report(identity, product=None, bracket=None, derivation=None):
     """Reference oracle: scan all d**length tuples in lex order, using no symmetry.
 
-    Every tuple goes through the public ops on ElementVectors, so the oracle
-    shares only the transcription of each residual with the engine, never
-    its kernel.  COMM and ASSOC tuples end in the coordinate of the residual
-    that the leading indices give.  DER_BRK reports on strictly increasing
-    tuples, so its failing tuple is looked up among those, which also checks
-    that the first failure of the cube is one.
+    Every tuple goes through the public ops on ElementVectors (the ops record
+    ``sampled_verdict`` uses), so the oracle shares only the transcription of
+    each residual with the engine, never its kernel.  COMM and ASSOC tuples
+    end in the coordinate of the residual that the leading indices give.
+    DER_BRK reports on strictly increasing tuples, so its failing tuple is
+    looked up among those, which also checks that the first failure of the
+    cube is one.
     """
     definition = axioms._DEFS[identity]
     d = next(obj.dim for obj in (product, bracket, derivation) if obj is not None)
-    ops = public_ops(product, bracket, derivation, d)
+    n = bracket.arity if bracket is not None else 0
+    ops = axioms._public_ops(product, bracket, derivation, d, n)
     basis = basis_vectors(d)
-    length = sum(size for size, _ in definition.blocks(ops.n)) + definition.coordinate
+    length = sum(size for size, _ in definition.blocks(n)) + definition.coordinate
     head = None
     for rank, idx in enumerate(iproduct(range(d), repeat=length)):
         if definition.coordinate:

@@ -386,22 +386,13 @@ def test_extend_verify_failure_still_writes_file(tmp_path, capsys, w4):
 
 def test_tower_single_step(tmp_path, capsys):
     code = main(
-        ["tower", TP22, "--bracket", "b_d1", "--derivation", "d2", "--steps", "1",
-         "--out-dir", str(tmp_path)]
+        ["tower", TP22, "--bracket", "b_d1", "--derivation", "d2", "--out-dir", str(tmp_path)]
     )
     assert code == 0
     level = load_system(tmp_path / "tp22_level1.json")
     assert level.brackets["b_d1_ext"].arity == 3
     out = capsys.readouterr().out
     assert "level 1" in out
-
-
-def test_tower_steps_mismatch(tmp_path, capsys):
-    code = main(
-        ["tower", TP22, "--bracket", "b_d1", "--derivation", "d2", "--steps", "2",
-         "--out-dir", str(tmp_path)]
-    )
-    assert code == 2
 
 
 def test_tower_no_verify(tmp_path, capsys):
@@ -608,9 +599,9 @@ NAMESPACES = [
     ),
     (
         ["tower", "s.json", "--bracket", "b1", "--derivation", "d2", "--derivation", "d2",
-         "--steps", "2", "--out-dir", "out", "--no-verify"],
+         "--out-dir", "out", "--no-verify"],
         {"command": "tower", "file": "s.json", "bracket": "b1", "derivation": ["d2", "d2"],
-         "steps": 2, "out_dir": "out", "no_verify": True, "format": "text", "func": "cmd_tower"},
+         "out_dir": "out", "no_verify": True, "format": "text", "func": "cmd_tower"},
     ),
 ]
 

@@ -30,7 +30,7 @@ def e(dim, i):
 
 
 def vec(*coords):
-    return ElementVector.from_coords(coords)
+    return ElementVector(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +315,11 @@ def test_bracket_apply_arity_mismatch(w4):
     st.permutations(range(2)),
 )
 def test_bracket_scaling_commutes_with_apply(coords, perm):
-    b = SkewBracket(4, 2, {(0, 1): ElementVector.from_coords(coords)})
+    b = SkewBracket(4, 2, {(0, 1): ElementVector(coords)})
     x, y = basis_vectors(4)[0], basis_vectors(4)[1]
     args = (x, y) if list(perm) == [0, 1] else (y, x)
     result = bracket_apply(b, args)
-    expected = ElementVector.from_coords(coords)
+    expected = ElementVector(coords)
     if list(perm) != [0, 1]:
         expected = -expected
     assert result == expected
@@ -374,15 +374,26 @@ def test_with_bracket_rejects_duplicates(w4):
         lambda: SkewBracket(2, 2, {(0, 1): 1}),
         lambda: ElementVector((1.5, 0, 0, 0)),
         lambda: ElementVector([Fraction(1), True]),
+        lambda: ProductTensor(1, [["1"]]),
+        lambda: DerivationMatrix(2, ["12", "34"]),
+        lambda: DerivationMatrix(2, [{1: 0, 0: 1}, (0, 1)]),
+        lambda: SkewBracket(2, 2, {(0, 1): "10"}),
+        lambda: ElementVector(b"\x01\x02"),
+        lambda: ElementVector({1, 2}),
+        lambda: ElementVector(()),
     ],
     ids=[
         "product-float", "product-bool", "product-bool-dim", "product-scalar",
         "derivation-float", "derivation-bool", "bracket-float-vector", "bracket-bool",
-        "bracket-scalar", "vector-float", "vector-bool",
+        "bracket-scalar", "vector-float", "vector-bool", "product-str-row",
+        "derivation-str-rows", "derivation-dict-row", "bracket-str-value", "vector-bytes",
+        "vector-set", "vector-empty",
     ],
 )
 def test_constructors_reject_inexact_or_malformed_constants(build):
     # A float or bool cannot be saved and loaded back as the same rational.
+    # At any nesting level, a string or bytes would be read by character and
+    # a set or dict in hash or key order; a vector has dimension >= 1.
     with pytest.raises(InputError):
         build()
 
