@@ -773,7 +773,7 @@ def sampled_verdict(
     _integer(samples, "samples", 1)
     ops = _public_ops(product, bracket, derivation, d, n)
     count = sum(size for size, _ in definition.blocks(n))
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(_integer(seed, "seed", 0))
     for _ in range(samples):
         elems = tuple(_random_vector(d, rng) for _ in range(count))
         res = definition.residual(ops, elems)

@@ -162,14 +162,39 @@ def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSyste
     return AlgebraSystem(d, product, brackets={"zero": SkewBracket.zero(d, arity)})
 
 
-def _random_bracket(rng: random.Random, dim: int, arity: int, threshold: float) -> SkewBracket:
+# rng.randint(-3, 3) as a shared Fraction: CPython's randint draws getrandbits(3), again on a 7.
+_SMALL = tuple(Fraction(v) for v in range(-3, 4))
+
+
+def _small(rng: random.Random) -> Fraction:
+    r = rng.getrandbits(3)
+    while r == 7:
+        r = rng.getrandbits(3)
+    return _SMALL[r]
+
+
+def _random_entries(rng: random.Random, dim: int, arity: int, threshold: float) -> dict:
     # Per increasing tuple: one coin, then the dim numerators of a kept value.
-    entries = {
-        key: [rng.randint(-3, 3) for _ in range(dim)]
+    return {
+        key: [_small(rng) for _ in range(dim)]
         for key in combinations(range(dim), arity)
         if rng.random() < threshold
     }
-    return SkewBracket(dim, arity, entries)
+
+
+def _random_parts(dim: int, arity: int, density, seed: int):
+    # random_system's product, bracket entries and derivation, drawn in that order.
+    _integer(dim, "random_system dimension", 1, MAX_RANDOM_DIM)
+    _integer(arity, "bracket arity", 2)
+    density = rat(density)
+    if not 0 <= density <= 1:
+        raise InputError(f"density must lie in [0, 1], got {density}")
+    rng = random.Random(_integer(seed, "seed", 0))
+    upper = {(i, j): [_small(rng) for _ in range(dim)] for i in range(dim) for j in range(i, dim)}
+    cube = [[upper[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+    entries = _random_entries(rng, dim, arity, float(density))
+    matrix = DerivationMatrix(dim, [[_small(rng) for _ in range(dim)] for _ in range(dim)])
+    return ProductTensor(dim, cube), entries, matrix
 
 
 def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
@@ -179,26 +204,11 @@ def random_system(dim: int, arity: int, density, seed: int) -> AlgebraSystem:
 
     Structure constants have numerators uniform in -3..3 and denominator 1.
     ``density`` (a rational in [0, 1]) is the probability that a given
-    strictly increasing tuple carries a (random) bracket value.
+    strictly increasing tuple carries a (random) bracket value.  Seeds are >= 0.
     """
-    _integer(dim, "random_system dimension", 1, MAX_RANDOM_DIM)
-    _integer(arity, "bracket arity", 2)
-    density = rat(density)
-    if not 0 <= density <= 1:
-        raise InputError(f"density must lie in [0, 1], got {density}")
-    rng = random.Random(_integer(seed, "seed"))
-    cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            for k in range(dim):
-                v = Fraction(rng.randint(-3, 3))
-                cube[i][j][k] = v
-                cube[j][i][k] = v
-    bracket = _random_bracket(rng, dim, arity, float(density))
-    matrix = DerivationMatrix(dim, [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
-    return AlgebraSystem(
-        dim, ProductTensor(dim, cube), brackets={"b": bracket}, derivations={"d": matrix}
-    )
+    product, entries, matrix = _random_parts(dim, arity, density, seed)
+    bracket = SkewBracket(dim, arity, entries)
+    return AlgebraSystem(dim, product, brackets={"b": bracket}, derivations={"d": matrix})
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +289,14 @@ def hunt_counterexample(
     _integer(seed, "hunt seed")
     for trial in range(trials):
         child = _trial_seed(seed, trial)
-        system = random_system(dim, arity, _HUNT_DENSITIES[trial % 4], child)
-        if not _reports(system, _PREMISES)[-1].passed:
+        p, entries, m = _random_parts(dim, arity, _HUNT_DENSITIES[trial % 4], child)
+        # DER_MUL reads only the product and D, so the bracket waits for it.
+        if not check_identity(IdentityId.DER_MUL, product=p, derivation=m).passed:
             continue
-        p = system.product
-        b = system.bracket("b")
-        m = system.derivation("d")
+        b = SkewBracket(dim, arity, entries)
+        system = AlgebraSystem(dim, p, brackets={"b": b}, derivations={"d": m})
+        if not _reports(system, _PREMISES[1:])[-1].passed:
+            continue
         strong = check_identity(IdentityId.STRONG, product=p, bracket=b)
         if strong.passed:
             continue  # strong instances are the proven regime, not a probe
@@ -425,7 +437,8 @@ def _misc_instances(rng: random.Random):
             base = make_truncated_poly(m)
             euler = base.derivations["euler"]
             for _ in range(8):
-                bracket = _random_bracket(random.Random(rng.getrandbits(32)), m, 2, 0.5)
+                entries = _random_entries(random.Random(rng.getrandbits(32)), m, 2, 0.5)
+                bracket = SkewBracket(m, 2, entries)
                 inst = _instance(f"randbracket(m={m})#{k}", base, bracket, euler)
                 if _reports(inst.system, (IdentityId.NL, IdentityId.TP))[-1].passed:
                     if not _reports(inst.system, (IdentityId.DER_BRK,))[-1].passed:
@@ -451,7 +464,7 @@ def binary_sweep_corpus(seed: int = 0, count: int = 108) -> list[CorpusInstance]
     polynomial rings and tensor truncations, zero brackets, and hypothesis-
     filtered random systems."""
     _integer(count, "count", 0)
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(_integer(seed, "seed", 0))
     gens = (_trunc_instances(rng), _tensor_instances(rng), _misc_instances(rng))
     schedule = (0, 1, 0, 1, 0, 2)
     out: list[CorpusInstance] = []
@@ -471,7 +484,7 @@ def ternary_sweep_corpus(seed: int = 0, count: int = 24) -> list[CorpusInstance]
     Shapes are kept small (mostly 2x2) so exhaustive NP2/NP3 sweeps stay fast.
     """
     _integer(count, "count", 0)
-    rng = random.Random(_integer(seed, "seed"))
+    rng = random.Random(_integer(seed, "seed", 0))
     shapes = ((2, 2), (2, 2), (2, 2), (2, 3), (2, 2), (2, 2), (3, 2), (2, 2))
     out: list[CorpusInstance] = []
     k = 0

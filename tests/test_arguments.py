@@ -82,10 +82,10 @@ ENTRY_POINTS = [
     ("zero-bracket-arity", lambda v: make_zero_bracket_system(P, v), "bracket arity", 1),
     ("random-dim", lambda v: random_system(v, 2, 1, 0), "random_system dimension", 13),
     ("random-arity", lambda v: random_system(3, v, 1, 0), "bracket arity", 1),
-    ("random-seed", lambda v: random_system(3, 2, 1, v), "seed", None),
-    ("binary-seed", lambda v: binary_sweep_corpus(v, 6), "seed", None),
+    ("random-seed", lambda v: random_system(3, 2, 1, v), "seed", -1),
+    ("binary-seed", lambda v: binary_sweep_corpus(v, 6), "seed", -1),
     ("binary-count", lambda v: binary_sweep_corpus(0, v), "count", -1),
-    ("ternary-seed", lambda v: ternary_sweep_corpus(v, 2), "seed", None),
+    ("ternary-seed", lambda v: ternary_sweep_corpus(v, 2), "seed", -1),
     ("ternary-count", lambda v: ternary_sweep_corpus(0, v), "count", -1),
     ("hunt-dim", lambda v: hunt_counterexample(v, 3, 0, 0), "hunt dim", 13),
     ("hunt-arity", lambda v: hunt_counterexample(4, v, 0, 0), "hunt arity", 2),
@@ -97,7 +97,7 @@ ENTRY_POINTS = [
         "samples",
         0,
     ),
-    ("sampled-seed", lambda v: sampled_verdict(IdentityId.NL, bracket=B, seed=v), "seed", None),
+    ("sampled-seed", lambda v: sampled_verdict(IdentityId.NL, bracket=B, seed=v), "seed", -1),
     # for a component, "out of range" is a map of another dimension
     ("derivation-bracket", lambda v: derivation_bracket(v, D), "product", P3),
     ("extend-bracket", lambda v: extend_bracket(P, B, v), "derivation", D3),

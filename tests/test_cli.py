@@ -462,7 +462,13 @@ def test_gen_missing_family_params(capsys, tmp_path):
 
 
 def test_gen_invalid_params(capsys, tmp_path):
-    assert main(["gen", "--family", "trunc-poly", "--m", "1", "-o", str(tmp_path / "x.json")]) == 2
+    out = tmp_path / "x.json"
+    assert main(["gen", "--family", "trunc-poly", "--m", "1", "-o", str(out)]) == 2
+    # random.Random seeds with abs(seed), so -7 would silently give seed 7's file
+    argv = ["gen", "--family", "random", "--dim", "3", "--arity", "2", "--seed", "-7"]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert "seed must be an integer >= 0, got -7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

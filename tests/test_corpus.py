@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -14,6 +15,8 @@ from tpnlie import (
     InputError,
     binary_sweep_corpus,
     check_identity,
+    corpus,
+    extend_bracket,
     formal_derivative,
     hunt_counterexample,
     make_tensor_trunc,
@@ -226,6 +229,19 @@ def test_corpus_streams_are_pinned():
     assert digest.hexdigest() == CORPUS_STREAMS_SHA256
 
 
+def test_small_draw_is_randint():
+    # The draw helper must consume the words rng.randint(-3, 3) consumes,
+    # including the redraw of a rejected 7, on every Python the tests run on.
+    seeds = range(300)
+    assert sum(random.Random(seed).getrandbits(3) == 7 for seed in seeds) > 10
+    for seed in seeds:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            value = corpus._small(ours)
+            assert type(value) is Fraction and value == theirs.randint(-3, 3)
+        assert ours.getstate() == theirs.getstate()
+
+
 # ---------------------------------------------------------------------------
 # hunter
 
@@ -264,3 +280,45 @@ def test_hunt_small_budget_completes():
     assert finding.failure_reports
     for report in finding.failure_reports:
         assert not report.passed
+
+
+def _reference_hunt(dim, arity, trials, seed):
+    # The hunter as a plain loop over whole random systems.
+    check = corpus.check_identity
+    for trial in range(trials):
+        child = corpus._trial_seed(seed, trial)
+        system = random_system(dim, arity, corpus._HUNT_DENSITIES[trial % 4], child)
+        p, b, d = system.product, system.bracket("b"), system.derivation("d")
+        if not corpus._reports(system, corpus._PREMISES)[-1].passed:
+            continue
+        if check(I.STRONG, product=p, bracket=b).passed:
+            continue
+        extension = extend_bracket(p, b, d)
+        if all([check(i, product=p, bracket=extension).passed for i in (I.NL, I.TP)]):  # both run
+            continue
+        corpus._reports(system, corpus._PREMISES)
+        check(I.STRONG, product=p, bracket=b)
+        return
+
+
+def test_hunter_makes_the_checks_of_the_plain_loop(monkeypatch):
+    # Deferring the bracket past DER_MUL must not change one check: at dim 1
+    # many trials reach STRONG and at dim 2 one fails ASSOC, so the deferred
+    # path runs to its end.
+    seen = []
+
+    def recorded(*args, **kwargs):
+        report = check_identity(*args, **kwargs)
+        seen.append((report.identity, report.status, report.tuples_checked, report.counterexample))
+        return report
+
+    monkeypatch.setattr(corpus, "check_identity", recorded)
+    runs = list(iproduct((1, 2), range(3)))
+    for dim, seed in runs:
+        assert hunt_counterexample(dim, 3, 200, seed) is None
+    hunted, seen[:] = list(seen), []
+    for dim, seed in runs:
+        _reference_hunt(dim, 3, 200, seed)
+    assert hunted == seen
+    assert sum(call[0] == I.STRONG for call in hunted) == 146
+    assert (I.ASSOC, "fail") in {call[:2] for call in hunted}
