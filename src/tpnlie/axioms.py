@@ -33,7 +33,9 @@ of these is a basis weight, whose residual is zero, so the first failing
 tuple does not move, and the report's counts come from its lex rank, not
 the walk.  What a grading needs of a component (its weights, its shifts
 under given weights) is computed once per component object (``core._kept``),
-and the walk's tables once per weights, blocks and targets (``_levels``).
+and the walk once per weights, blocks and targets (``_walk``): a table of
+(head, tails) pairs, a head one run of each block but the last and its
+tails the last block's runs that bring its weight sum to a target.
 
 ``check_identity`` checks one identity and ``run_suite`` a set of them.
 Inputs are validated once, at the boundary that ``check_identity`` and
@@ -66,7 +68,7 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 from math import comb, gcd, lcm
@@ -609,52 +611,31 @@ def _grading(definition, p, b, D, d: int) -> tuple[tuple[int, ...], frozenset]:
     return weights, frozenset(w - s for w in weights for s in shifts)
 
 
-def _scan(levels, eval_fn, t: int = 0, s: int = 0, head: tuple = ()):
-    """Walk the kept canonical tuples in lex order up to the first nonzero
-    residual: from block t on, extend ``head`` (weight sum ``s``) only by the
-    runs ``levels[t][s]`` (see ``_levels``), which it reads and never writes.
-    Returns (first failing tuple of elements, residual), or None.
-    """
-    runs = levels[t][s]
-    if t + 1 == len(levels):
-        for _, tail in runs:
-            elems = head + tail
-            res = eval_fn(elems)
-            if res:
-                return elems, res
-        return None
-    for w, run in runs:
-        found = _scan(levels, eval_fn, t + 1, s + w, head + run)
-        if found:
-            return found
-    return None
-
-
 # Sized to hold every key of a sweep pass (binary_sweep_corpus(seed, 112),
 # build included): 306-355 keys per pass at seeds 0-12, 393 over all 13.  A
 # pass of the benchmark's towers uses 23 keys, of its hunt 1, of its cli 47.
 @lru_cache(maxsize=512)
-def _levels(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> list:
-    """Per block, a dict from each weight sum the walk brings to it to the
-    block's (weight, basis tuple) runs, in lex order, after which a target is
-    still within reach: all runs of a plain block, the strictly increasing
-    ones of a skew block.  Built in full, forward from the sum 0, and never
-    written after; the tables depend on nothing but the key."""
+def _walk(weights: tuple[int, ...], blocks: tuple, targets: frozenset) -> tuple:
+    """The kept canonical tuples of basis vectors in lex order, as (head, tails)
+    pairs: a head joins one run of each block but the last (all runs of a
+    plain block, the strictly increasing ones of a skew block), its tails are
+    the last block's runs that bring its weight sum into ``targets``, and a
+    head with no tails is left out.  Tuples all through: nothing can write it."""
     d = len(weights)
     basis = [_Vec({t: 1}) for t in range(d)]
-    parts = [
+    *firsts, last = [
         [(sum(weights[i] for i in run), tuple(basis[i] for i in run))
          for run in (combinations(range(d), size) if skew else iproduct(range(d), repeat=size))]
         for size, skew in blocks
     ]
-    reach = [targets]
-    for pairs in reversed(parts[1:]):
-        reach.append({r - w for w in {w for w, _ in pairs} for r in reach[-1]})
-    levels, sums = [], {0}
-    for pairs, ok in zip(parts, reversed(reach)):
-        levels.append({s: [pair for pair in pairs if s + pair[0] in ok] for s in sums})
-        sums = {s + w for s, runs in levels[-1].items() for w, _ in runs}
-    return levels
+    tails, walk = {}, []
+    for runs in iproduct(*firsts):
+        s = sum(w for w, _ in runs)
+        if s not in tails:
+            tails[s] = tuple(run for w, run in last if s + w in targets)
+        if tails[s]:
+            walk.append((sum((run for _, run in runs), ()), tails[s]))
+    return tuple(walk)
 
 
 def _boundary(identity, product, bracket, derivation):
@@ -693,14 +674,18 @@ def check_identity(
     start = time.perf_counter()
     ops = _kernel_ops(definition, product, bracket, derivation, d, n)
     weights, targets = _grading(definition, product, bracket, derivation, d)
-    levels = _levels(weights, blocks, targets)
-    ce, res = _scan(levels, partial(definition.residual, ops)) or (None, None)
-    if res is not None:
-        ce = tuple(map(min, ce))  # a basis vector's one index
-        if definition.coordinate:
-            k = min(res)
-            ce, res = ce + (k,), {k: res[k]}
-        res = ElementVector(tuple(res.get(k, 0) for k in range(d)))
+    walk = _walk(weights, blocks, targets)
+    for elems in (head + tail for head, tails in walk for tail in tails):
+        res = definition.residual(ops, elems)
+        if res:
+            ce = tuple(map(min, elems))  # a basis vector's one index
+            if definition.coordinate:
+                k = min(res)
+                ce, res = ce + (k,), {k: res[k]}
+            res = ElementVector(tuple(res.get(k, 0) for k in range(d)))
+            break
+    else:
+        ce = res = None
     elapsed = time.perf_counter() - start
     if definition.increasing_only:
         # comb(d, m) minus the increasing tuples after ce: ce's rank plus one

@@ -43,6 +43,7 @@ Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+MAX_ARITY = 10_000  # far past it, one check's d**(2n-1) count alone exhausts memory
 
 
 class InputError(ValueError):
@@ -317,7 +318,7 @@ class SkewBracket:
 
     def __post_init__(self) -> None:
         d = _integer(self.dim, "dimension", 1)
-        n = _integer(self.arity, "bracket arity", 2)
+        n = _integer(self.arity, "bracket arity", 2, MAX_ARITY)
         clean: dict[tuple[int, ...], ElementVector] = {}
         for key, value in _mapping(self.entries, "bracket entries").items():
             key = _bracket_key(key, n, d, "bracket key")

@@ -20,6 +20,7 @@ from .core import (
     AlgebraSystem,
     DerivationMatrix,
     InputError,
+    MAX_ARITY,
     ProductTensor,
     SkewBracket,
     _components,
@@ -185,7 +186,7 @@ def _random_entries(rng: random.Random, dim: int, arity: int, threshold: float) 
 def _random_parts(dim: int, arity: int, density, seed: int):
     # random_system's product, bracket entries and derivation, drawn in that order.
     _integer(dim, "random_system dimension", 1, MAX_RANDOM_DIM)
-    _integer(arity, "bracket arity", 2)
+    _integer(arity, "bracket arity", 2, MAX_ARITY)
     density = rat(density)
     if not 0 <= density <= 1:
         raise InputError(f"density must lie in [0, 1], got {density}")
@@ -283,7 +284,7 @@ def hunt_counterexample(
     the premise set is unsatisfiable.
     """
     reason = "at arity 2 the strong condition follows from the transposed Leibniz identity"
-    _integer(arity, f"hunt arity ({reason}, so no candidate can exist)", 3)
+    _integer(arity, f"hunt arity ({reason}, so no candidate can exist)", 3, MAX_ARITY)
     _integer(dim, "hunt dim", 1, MAX_RANDOM_DIM)
     _integer(trials, "hunt trials", 0)
     _integer(seed, "hunt seed")
@@ -352,10 +353,10 @@ class CorpusInstance:
 
 
 def _nonzero_rational(rng: random.Random) -> Fraction:
-    num = 0
-    while num == 0:
-        num = rng.randint(-3, 3)
-    return Fraction(num, rng.choice((1, 1, 2)))
+    num = _small(rng)
+    while not num:
+        num = _small(rng)
+    return num / rng.choice((1, 1, 2))
 
 
 def _instance(
@@ -383,7 +384,7 @@ def _trunc_instances(rng: random.Random):
         coeffs[rng.randrange(width)] = _nonzero_rational(rng)
         for r in range(width):
             if rng.random() < 0.4 and not coeffs[r]:
-                coeffs[r] = Fraction(rng.randint(-3, 3))
+                coeffs[r] = _small(rng)
         matrix = poly_derivation(m, coeffs)
         base = make_truncated_poly(m)
         bracket = derivation_bracket(base.product, matrix)

@@ -19,6 +19,7 @@ from .core import (
     AlgebraSystem,
     DerivationMatrix,
     InputError,
+    MAX_ARITY,
     ProductTensor,
     SkewBracket,
     _bracket_key,
@@ -127,7 +128,7 @@ def system_from_dict(data, source: str = "<data>") -> AlgebraSystem:
     for name, spec in raw_brackets.items():
         where = f"{source}: brackets[{_shown(name)}]"
         _require(isinstance(spec, dict), f"{where} must be an object")
-        arity = _integer(spec.get("arity"), f"{where}.arity", 2)
+        arity = _integer(spec.get("arity"), f"{where}.arity", 2, MAX_ARITY)
         raw_entries = spec.get("entries", [])
         _require(isinstance(raw_entries, list), f"{where}.entries must be a list")
         entries = {}

@@ -848,7 +848,7 @@ def test_grading_state_does_not_depend_on_check_order():
     oracle = {(name, i): full_cube_report(i, p, *systems[name]) for name, i in checks}
     cold = {}
     for name, i in checks:
-        axioms._levels.cache_clear()
+        axioms._walk.cache_clear()
         fresh = [dataclasses.replace(c) for c in (p, *systems[name])]
         cold[name, i] = check_identity(i, *fresh)
     assert cold == oracle
@@ -922,35 +922,34 @@ def test_run_list_cache_holds_a_sweep_pass():
     # One sweep pass uses more block tables than an undersized cache holds,
     # and then every pass would build most of them again.
     instances = binary_sweep_corpus(0, 112)
-    axioms._levels.cache_clear()
+    axioms._walk.cache_clear()
     for _ in range(2):
         _check_sweep(instances)
-    info = axioms._levels.cache_info()
+    info = axioms._walk.cache_info()
     assert info.misses == info.currsize >= 300  # one miss per key
 
 
-def test_block_tables_are_never_written_after_they_are_returned(monkeypatch):
-    # The scan only reads what ``_levels`` returns: every table of a sweep
-    # corpus build and two passes over its checks is, at the end, what it was
-    # when first returned.
-    levels, first = axioms._levels, {}
+def test_walk_tables_are_tuples_all_through(monkeypatch):
+    # Nothing can write to what ``_walk`` returns: every table of a sweep
+    # corpus build and two passes over its checks is a tuple of (head, tails)
+    # pairs, a head a tuple and its tails a tuple of tuples.
+    walk, tables = axioms._walk, {}
 
-    def copied(tables):
-        return [{s: list(runs) for s, runs in level.items()} for level in tables]
+    def recording_walk(*key):
+        tables[key] = walk(*key)
+        return tables[key]
 
-    def recording_levels(*key):
-        tables = levels(*key)
-        if id(tables) not in first:
-            first[id(tables)] = tables, copied(tables)
-        return tables
-
-    monkeypatch.setattr(axioms, "_levels", recording_levels)
-    levels.cache_clear()
+    monkeypatch.setattr(axioms, "_walk", recording_walk)
+    walk.cache_clear()
     instances = binary_sweep_corpus(0, 112)
     for _ in range(2):
         _check_sweep(instances)
-    assert len(first) >= 300
-    assert all(copied(tables) == copy for tables, copy in first.values())
+    assert len(tables) >= 300 and any(tables.values())
+    for table in tables.values():
+        assert type(table) is tuple
+        for head, tails in table:
+            assert type(head) is tuple and type(tails) is tuple and tails
+            assert all(type(tail) is tuple for tail in tails)
 
 
 def test_derivation_table_is_built_whole_once_and_never_written(w4):

@@ -471,6 +471,37 @@ def test_gen_invalid_params(capsys, tmp_path):
     assert not out.exists()
 
 
+def _arity_file(tmp_path, arity):
+    # A 2-dim zero product with a derivation and an empty bracket "b".
+    path = tmp_path / f"arity{arity}.json"
+    path.write_text(json.dumps({"dimension": 2, "product": _zeros(2, 3),
+                                "derivations": {"d": _zeros(2, 2)},
+                                "brackets": {"b": {"arity": arity, "entries": []}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["gen", "hunt", "check", "extend"])
+def test_arity_past_the_bound_is_input_error(capsys, tmp_path, command):
+    # At 10**13, itertools.combinations asked for 80 TB and failed with a
+    # MemoryError traceback and exit 1, the code of a violation; extending
+    # a bracket of the largest arity gives one past it.
+    huge, out = str(10**13), str(tmp_path / "out.json")
+    argv = {
+        "gen": ["gen", "--family", "random", "--dim", "3", "--arity", huge, "--seed", "1",
+                "-o", out],
+        "hunt": ["hunt", "--dim", "3", "--arity", huge, "--trials", "1", "--seed", "1", "-o", out],
+        "check": ["check", _arity_file(tmp_path, 10**13), "--bracket", "b", "--suite", "NL"],
+        "extend": ["extend", _arity_file(tmp_path, 10_000), "--bracket", "b", "--derivation", "d",
+                   "-o", out],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    got = huge if command != "extend" else "10001"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"must be an integer in {3 if command == 'hunt' else 2}..10000, got {got}\n" in captured.err
+    assert captured.out == "" and not Path(out).exists()
+
+
 # ---------------------------------------------------------------------------
 # hunt
 
