@@ -94,8 +94,10 @@ def cmd_extend(args) -> int:
 
 def cmd_tower(args) -> int:
     system = load_system(args.file)
-    levels = build_tower(system, args.bracket, args.derivation, verify=not args.no_verify)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.file).parent
+    if args.out_dir and not out_dir.is_dir():
+        raise InputError(f"--out-dir {_shown(args.out_dir)} is not a directory")
+    levels = build_tower(system, args.bracket, args.derivation, verify=not args.no_verify)
     stem = Path(args.file).stem
     name = args.bracket
     for k, level in enumerate(levels, start=1):

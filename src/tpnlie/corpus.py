@@ -1,7 +1,9 @@
 """Verified instance families, seeded random systems, and the hunter.
 
 The constructive families (truncated polynomial rings, their tensor products,
-zero brackets) provide instances where every identity is expected to hold;
+zero brackets) provide instances where every identity is expected to hold,
+one shared immutable system per family and argument tuple in a process, so a
+sweep's instances on it share its product and the data checks keep on that;
 ``random_system`` makes no promises at all and exists for fuzzing and for the
 counterexample hunter, which probes whether the arity extension can break the
 fundamental or transposed Leibniz identities when the strong condition fails.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .axioms import CheckReport, IdentityId, check_identity
@@ -56,6 +59,9 @@ def _monomial_label(exponents: list[tuple[str, int]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+# Typed, so (2, 2.0) misses the key (2, 2) and reaches the InputError.  A binary
+# sweep pass uses 6 + 3 keys (m, then (a, b)), ternary_sweep_corpus 3 + 3.
+@lru_cache(maxsize=8, typed=True)
 def make_truncated_poly(m: int) -> AlgebraSystem:
     """Q[t]/(t^m) with basis e_k = t^k, the Euler map t*d/dt, and its bracket.
 
@@ -113,6 +119,7 @@ def _tensor_monomials(a: int, b: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(b) for i in range(a)]
 
 
+@lru_cache(maxsize=4, typed=True)
 def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
     """Q[s]/(s^a) tensor Q[t]/(t^b); basis monomials s^i t^j, s-degree fastest.
 

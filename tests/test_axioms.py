@@ -789,7 +789,8 @@ def test_weights_are_eliminated_once_per_component(monkeypatch):
 
     monkeypatch.setattr(axioms, "_weights", counting_weights)
     monkeypatch.setattr(axioms, "_insert", counting_insert)
-    system = make_tensor_trunc(2, 3)
+    # A fresh system: the cached one may carry kept data from earlier tests.
+    system = make_tensor_trunc.__wrapped__(2, 3)
     assert len(run_suite(system, "b_d1", "d2")) == 14
     assert 1 <= len(eliminated) <= 3
     inserted[0] = 0
@@ -813,7 +814,7 @@ def test_shift_sets_are_built_once_and_never_when_ungraded(monkeypatch):
         return kept(component, key, counted)
 
     monkeypatch.setattr(axioms, "_kept", counting_kept)
-    system = make_tensor_trunc(2, 3)
+    system = make_tensor_trunc.__wrapped__(2, 3)  # fresh, not the cached one
     run_suite(system, "b_d1", "d2")
     assert built["point"] == 3 and built["shifts"] >= 3
     built.clear()

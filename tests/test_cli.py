@@ -403,6 +403,31 @@ def test_tower_no_verify(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_tower_refuses_an_out_dir_that_is_not_a_directory(tmp_path, capsys, monkeypatch, kind):
+    import tpnlie.cli
+
+    def build_tower(*args, **kwargs):
+        raise AssertionError("build_tower ran")
+
+    monkeypatch.setattr(tpnlie.cli, "build_tower", build_tower)
+    src = tmp_path / "tp22.json"
+    src.write_bytes(Path(TP22).read_bytes())
+    out_dir = tmp_path / "no" / "such" / "dir"
+    if kind == "file":
+        out_dir = tmp_path / "plain.txt"
+        out_dir.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    code = main(
+        ["tower", str(src), "--bracket", "b_d1", "--derivation", "d2", "--derivation", "d2",
+         "--out-dir", str(out_dir)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out-dir ") and "is not a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before  # no level file, no directory
+
+
 # ---------------------------------------------------------------------------
 # gen
 

@@ -111,6 +111,67 @@ def test_tensor_rejects_bad_shapes():
         make_tensor_trunc(1, 3)
 
 
+def test_family_builders_share_one_system_per_arguments():
+    assert make_truncated_poly(4) is make_truncated_poly(4)
+    assert make_tensor_trunc(2, 3) is make_tensor_trunc(2, 3)
+    assert make_tensor_trunc(2, 3) is not make_tensor_trunc(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (make_truncated_poly, (3.0,)),
+        (make_truncated_poly, (Fraction(3),)),
+        (make_tensor_trunc, (2, 2.0)),
+        (make_tensor_trunc, (True, 2)),
+    ],
+)
+def test_family_cache_does_not_let_invalid_arguments_through(build, args):
+    # 3.0, Fraction(3) and (2, 2.0) hash and compare equal to cached int keys.
+    make_truncated_poly(3)
+    make_tensor_trunc(2, 2)
+    with pytest.raises(InputError, match="must be an integer"):
+        build(*args)
+
+
+def test_cached_family_systems_equal_fresh_builds():
+    for build, args in [(make_truncated_poly, (m,)) for m in range(2, 8)] + [
+        (make_tensor_trunc, shape) for shape in ((2, 2), (2, 3), (3, 2))
+    ]:
+        cached, fresh = build(*args), build.__wrapped__(*args)
+        assert cached is not fresh
+        assert cached == fresh and dumps_system(cached) == dumps_system(fresh), args
+
+
+def test_family_cache_is_bounded_and_holds_a_sweep_pass():
+    make_truncated_poly.cache_clear()
+    make_tensor_trunc.cache_clear()
+    binary_sweep_corpus(0, 112)
+    ternary_sweep_corpus(0, 24)
+    for build, keys in ((make_truncated_poly, 6), (make_tensor_trunc, 3)):
+        info = build.cache_info()
+        assert info.misses == info.currsize == keys and keys <= info.maxsize < 10
+    for m in range(2, 20):
+        make_truncated_poly(m)
+    assert make_truncated_poly.cache_info().currsize == make_truncated_poly.cache_info().maxsize
+
+
+def test_sweep_instances_on_one_family_share_its_product():
+    shared = set()
+    for inst in binary_sweep_corpus(0, 112):
+        family, _, _ = inst.label.partition("#")
+        if family.startswith("tensor"):
+            a, b = map(int, family[len("tensor("):-1].split(","))
+            base = make_tensor_trunc(a, b)
+        elif not family.startswith("random"):
+            base = make_truncated_poly(inst.system.dim)
+        else:
+            continue
+        assert inst.system.product is base.product, inst.label
+        shared.add(id(base.product))
+    assert len(shared) == 6 + 3
+
+
 def test_zero_bracket_system_passes_suite(w4):
     system = make_zero_bracket_system(w4.product, 3)
     reports = run_suite(system, "zero")
