@@ -290,7 +290,7 @@ class ProductTensor:
 
 def multiply(product: ProductTensor, x: ElementVector, y: ElementVector) -> ElementVector:
     """The bilinear product x * y expanded in coordinates."""
-    d = product.dim
+    d = _components("multiply", product, None, None, (True, False, False))
     _vectors("multiply", d, (x, y))
     acc = [_ZERO] * d
     for i, xi in x.support():
@@ -322,9 +322,9 @@ class SkewBracket:
         clean: dict[tuple[int, ...], ElementVector] = {}
         for key, value in _mapping(self.entries, "bracket entries").items():
             key = _bracket_key(key, n, d, "bracket key")
-            if isinstance(value, ElementVector):
-                value = value.coords
-            value = ElementVector(_rationals(value, 1, f"bracket value for {key}"))
+            if type(value) is not ElementVector:  # kept as given; a subclass is rebuilt
+                coords = value.coords if isinstance(value, ElementVector) else value
+                value = ElementVector(_rationals(coords, 1, f"bracket value for {key}"))
             if value.dim != d:
                 raise InputError(f"bracket value for {key} must have length {d}")
             if not value.is_zero():
@@ -340,7 +340,7 @@ class SkewBracket:
 
 def bracket_apply(bracket: SkewBracket, args: Sequence[ElementVector]) -> ElementVector:
     """Multilinear skew-symmetric extension of the stored basis values."""
-    d, n = bracket.dim, bracket.arity
+    d, n = _components("bracket_apply", None, bracket, None, (False, True, False)), bracket.arity
     args = _listed(args, "bracket_apply arguments")
     if len(args) != n:
         raise InputError(f"bracket of arity {n} applied to {len(args)} arguments")

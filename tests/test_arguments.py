@@ -31,6 +31,7 @@ from tpnlie import (
     make_tensor_trunc,
     make_truncated_poly,
     make_zero_bracket_system,
+    multiply,
     poly_derivation,
     random_system,
     rat,
@@ -43,10 +44,12 @@ from tpnlie import (
     tensor_diagonal_derivation,
     ternary_sweep_corpus,
 )
+from tpnlie.corpus import MAX_FAMILY_DIM
 
 W4 = make_truncated_poly(4)
 P, B, D = W4.product, W4.brackets["b1"], W4.derivations["euler"]
 D3, P3 = DerivationMatrix.zero(3), ProductTensor.zero(3)
+E = basis_vectors(4)
 
 # (entry point, call with the bad value in place of one argument, the name
 # the message must give, an out-of-range value of the right type or None
@@ -69,6 +72,8 @@ ENTRY_POINTS = [
     ("bracket-zero-dim", lambda v: SkewBracket.zero(v, 2), "dimension", 0),
     ("bracket-zero-arity", lambda v: SkewBracket.zero(4, v), "bracket arity", 1),
     ("bracket-key", lambda v: SkewBracket(4, 2, {(0, v): (1, 0, 0, 0)}), "bracket key", 4),
+    ("multiply", lambda v: multiply(v, E[0], E[1]), "product", None),
+    ("bracket-apply", lambda v: bracket_apply(v, E[:2]), "bracket", None),
     ("system-dim", lambda v: AlgebraSystem(v, P, {}), "dimension", 0),
     ("trunc-poly", make_truncated_poly, "truncation degree m", 1),
     ("poly-derivation-m", lambda v: poly_derivation(v, [1]), "truncation degree m", 1),
@@ -113,12 +118,18 @@ ENTRY_POINTS = [
 
 BAD_VALUES = {"bool": True, "float": 1.0, "str": "x", "none": None}
 
-# Arities past MAX_ARITY: at 10**13, itertools.combinations alone would ask
-# for 80 TB, and the report's d**(2n-1) count for minutes of work.
-PAST_MOST = dict.fromkeys(
-    ["bracket-arity", "bracket-zero-arity", "zero-bracket-arity", "random-arity", "hunt-arity"],
-    10**13,
-)
+PAST_MOST = {
+    # Arities past MAX_ARITY: at 10**13, itertools.combinations alone would
+    # ask for 80 TB, and the report's d**(2n-1) count for minutes of work.
+    **dict.fromkeys(
+        ["bracket-arity", "bracket-zero-arity", "zero-bracket-arity", "random-arity", "hunt-arity"],
+        10**13,
+    ),
+    # Families past MAX_FAMILY_DIM basis elements (m, or a*b with the other
+    # degree 2): at m = 3000 the d**3 product cube alone fills memory.
+    **dict.fromkeys(["trunc-poly", "poly-derivation-m", "formal-derivative"], MAX_FAMILY_DIM + 1),
+    **dict.fromkeys(["tensor-a", "tensor-b", "diagonal-a", "diagonal-b"], MAX_FAMILY_DIM // 2 + 1),
+}
 
 
 def _cases():
@@ -136,6 +147,15 @@ def _cases():
 def test_entry_points_reject_bad_arguments_naming_them(call, what, value):
     with pytest.raises(InputError, match=re.escape(what)):
         call(value)
+
+
+def test_family_size_bound_admits_its_largest_maps():
+    # Only the maps: the largest families take seconds to build.
+    for m in (poly_derivation(MAX_FAMILY_DIM, [1]), formal_derivative(MAX_FAMILY_DIM)):
+        assert m.dim == MAX_FAMILY_DIM
+    half = MAX_FAMILY_DIM // 2
+    for a, b in ((2, half), (half, 2)):
+        assert tensor_diagonal_derivation(a, b, 1, 1).dim == MAX_FAMILY_DIM
 
 
 # (entry point, call with an ordered argument in place, its items, the name

@@ -527,6 +527,28 @@ def test_arity_past_the_bound_is_input_error(capsys, tmp_path, command):
     assert captured.out == "" and not Path(out).exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--family", "trunc-poly", "--m", "3000"],
+         "truncation degree m must be an integer in 2..100, got 3000"),
+        (["--family", "tensor-trunc", "--a", "2", "--b", "2000"],
+         "truncation degree b must be an integer in 2..50, got 2000"),
+        (["--family", "zero", "--m", "101", "--arity", "2"],
+         "truncation degree m must be an integer in 2..100, got 101"),
+    ],
+    ids=["trunc-poly", "tensor-trunc", "zero"],
+)
+def test_gen_family_past_the_size_bound_is_input_error(capsys, tmp_path, flags, message):
+    # m = 3000 and a*b = 4000 died with a MemoryError traceback and exit 1:
+    # the d**3 product cube alone fills memory.
+    out = tmp_path / "out.json"
+    assert main(["gen", *flags, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # hunt
 

@@ -289,6 +289,21 @@ def test_bracket_rejects_bad_keys():
         SkewBracket(2, 2, [((0, 1), (1, 0))])
 
 
+def test_bracket_keeps_the_vectors_it_is_handed():
+    v = vec(0, 1, 0)
+    b = SkewBracket(3, 2, {(0, 1): v})
+    assert b.entries[(0, 1)] is v
+    with pytest.raises(InputError, match=r"bracket value for \(0, 1\) must have length 2"):
+        SkewBracket(2, 2, {(0, 1): v})
+
+    class Marked(ElementVector):
+        pass
+
+    # A subclass is rebuilt as a plain ElementVector, the type a load gives back.
+    value = SkewBracket(3, 2, {(0, 1): Marked(v.coords)}).entries[(0, 1)]
+    assert type(value) is ElementVector and value == v
+
+
 def test_bracket_drops_zero_values():
     b = SkewBracket(3, 2, {(0, 1): ElementVector.zero(3), (0, 2): vec(0, 1, 0)})
     assert set(b.entries) == {(0, 2)}
@@ -343,6 +358,13 @@ def test_derivation_shape_validation():
 def test_system_dimension_consistency(w4):
     with pytest.raises(InputError):
         AlgebraSystem(3, w4.product, {})
+    b = w4.brackets["b1"]
+    with pytest.raises(InputError, match="bracket 'small' has dimension 3, system has 4"):
+        AlgebraSystem(4, w4.product, {"b": b, "small": SkewBracket.zero(3, 2)})
+    with pytest.raises(InputError, match="derivation 'small' has dimension 3, system has 4"):
+        AlgebraSystem(4, w4.product, {"b": b}, {"small": DerivationMatrix.zero(3)})
+    with pytest.raises(InputError, match="expected 4 basis labels, got 3"):
+        AlgebraSystem(4, w4.product, {"b": b}, basis_labels=["1", "t", "t^2"])
 
 
 def test_system_unknown_names(w4):
@@ -426,6 +448,8 @@ def test_system_requires_string_names(w4):
         AlgebraSystem(4, w4.product, {"b": b}, {("d",): euler})
     with pytest.raises(InputError, match="is a ProductTensor, not a SkewBracket"):
         AlgebraSystem(4, w4.product, {"b": w4.product})
+    with pytest.raises(InputError, match="product must be a ProductTensor, not SkewBracket"):
+        AlgebraSystem(4, b, {"b": b})
     # lists where a mapping or a list of labels belongs name the argument
     with pytest.raises(InputError, match="brackets must be a mapping, got list"):
         AlgebraSystem(4, w4.product, [("b", b)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -10,6 +11,7 @@ from itertools import product as iproduct
 import pytest
 
 from tpnlie import (
+    CheckReport,
     ElementVector,
     IdentityId,
     InputError,
@@ -17,6 +19,7 @@ from tpnlie import (
     check_identity,
     corpus,
     extend_bracket,
+    finding_to_dict,
     formal_derivative,
     hunt_counterexample,
     make_tensor_trunc,
@@ -25,6 +28,7 @@ from tpnlie import (
     poly_derivation,
     random_system,
     run_suite,
+    save_finding,
     ternary_sweep_corpus,
 )
 from tpnlie.files import dumps_system
@@ -383,3 +387,52 @@ def test_hunter_makes_the_checks_of_the_plain_loop(monkeypatch):
     assert hunted == seen
     assert sum(call[0] == I.STRONG for call in hunted) == 146
     assert (I.ASSOC, "fail") in {call[:2] for call in hunted}
+
+
+def test_hunter_returns_the_finding_of_its_rerun_checks(monkeypatch, tmp_path):
+    # No random draw reaches the hunter's tail, so its one trial is fed the
+    # first ternary sweep instance, which meets every premise.  That instance
+    # passes STRONG, as all 24 do, so STRONG and NL on the extension are
+    # scripted to fail.
+    inst = ternary_sweep_corpus(0, 1)[0]
+    p, b, d = inst.system.product, inst.bracket, inst.derivation
+    extension = extend_bracket(p, b, d)
+    monkeypatch.setattr(corpus, "_random_parts", lambda *args: (p, dict(b.entries), d))
+    seen = []
+
+    def scripted(ident, **components):
+        report = check_identity(ident, **components)
+        bracket = components.get("bracket")
+        if ident is I.STRONG or (ident is I.NL and bracket == extension):
+            report = CheckReport(ident, "fail", 1, (0,), ElementVector.basis(4, 0))
+        seen.append((ident, bracket, report))
+        return report
+
+    monkeypatch.setattr(corpus, "check_identity", scripted)
+    finding = hunt_counterexample(4, 3, 1, 0)
+    assert finding is not None and finding.trial == 0
+    assert finding.seed == corpus._trial_seed(0, 0)
+    assert finding.system.product is p and finding.system.derivation("d") is d
+    assert finding.system.bracket("b") == b and finding.extension == extension
+    premises = corpus._PREMISES
+    assert [(ident, bracket) for ident, bracket, _ in seen] == [
+        (I.DER_MUL, None),
+        *((ident, b) for ident in premises[1:]),
+        (I.STRONG, b),
+        (I.NL, extension),
+        (I.TP, extension),
+        *((ident, b) for ident in premises),
+        (I.STRONG, b),
+    ]
+    rerun = [report for _, _, report in seen[-len(premises) - 1 :]]
+    assert finding.premise_reports == tuple(rerun[:-1]) and all(r.passed for r in rerun[:-1])
+    assert finding.strong_report is rerun[-1]
+    nl = seen[len(premises) + 1][2]
+    assert finding.failure_reports[0] is nl and all(not r.passed for r in finding.failure_reports)
+
+    bundle = finding_to_dict(finding)
+    assert bundle["strong_report"]["status"] == "fail"
+    assert [r["identity"] for r in bundle["premise_reports"]] == [i.name for i in premises]
+    assert bundle["extension"]["arity"] == 4
+    save_finding(finding, tmp_path / "finding.json")
+    assert json.loads((tmp_path / "finding.json").read_text()) == bundle
