@@ -370,8 +370,9 @@ class _Vec(dict):
         if not self and sign > 0:
             return other
         acc = _Vec(self)
+        get = acc.get  # bound once, as in the kernel ops
         for k, v in other.items():
-            s = acc.get(k, 0) + v if sign > 0 else acc.get(k, 0) - v
+            s = get(k, 0) + v if sign > 0 else get(k, 0) - v
             if s:
                 acc[k] = s
             else:

@@ -144,6 +144,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_hunt(args) -> int:
+    out = Path(args.output)
+    if out.is_dir() or not out.parent.is_dir():
+        raise InputError(f"-o {_shown(args.output)} must name a file in an existing directory")
     finding = hunt_counterexample(args.dim, args.arity, args.trials, args.seed)
     if finding is None:
         print(f"no finding in {args.trials} trials")

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
-from itertools import repeat
 from types import MappingProxyType
 
 __all__ = [
@@ -131,8 +130,6 @@ def _rationals(entries, depth: int, what: str) -> tuple:
     # the form a save and a load give back, so equality survives the round trip.
     if depth == 1:
         return tuple(map(rat, _listed(entries, what)))
-    if depth == 2:  # spares a call per row
-        return tuple(tuple(map(rat, _listed(row, what))) for row in _listed(entries, what))
     return tuple(_rationals(e, depth - 1, what) for e in _listed(entries, what))
 
 
@@ -159,12 +156,9 @@ class ElementVector:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        # Coordinates go through ``rat`` like every constructor's constants,
-        # except a nonempty tuple of Fractions: what the core ops build, many times.
-        coords = self.coords
-        if not (type(coords) is tuple and coords and all(map(isinstance, coords, repeat(Fraction)))):
-            object.__setattr__(self, "coords", _rationals(coords, 1, "vector coordinates"))
-            _integer(len(self.coords), "vector dimension", 1)
+        # Coordinates go through ``rat`` like every constructor's constants.
+        object.__setattr__(self, "coords", _rationals(self.coords, 1, "vector coordinates"))
+        _integer(len(self.coords), "vector dimension", 1)
 
     @classmethod
     def zero(cls, dim: int) -> "ElementVector":

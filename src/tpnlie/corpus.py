@@ -1,12 +1,13 @@
 """Verified instance families, seeded random systems, and the hunter.
 
-The constructive families (truncated polynomial rings, their tensor products,
-zero brackets) provide instances where every identity is expected to hold,
-one shared immutable system per family and argument tuple in a process, so a
-sweep's instances on it share its product and the data checks keep on that;
-``random_system`` makes no promises at all and exists for fuzzing and for the
-counterexample hunter, which probes whether the arity extension can break the
-fundamental or transposed Leibniz identities when the strong condition fails.
+The constructive families (truncated polynomial rings and their tensor
+products, monomial quotients built by one rule; zero brackets) provide
+instances where every identity is expected to hold, one shared immutable
+system per family and argument tuple in a process, so a sweep's instances on
+it share its product and the data checks keep on that; ``random_system``
+makes no promises at all and exists for fuzzing and for the counterexample
+hunter, which probes whether the arity extension can break the fundamental or
+transposed Leibniz identities when the strong condition fails.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 
 MAX_RANDOM_DIM = 12  # performance guard for random_system
 # The most basis elements (m, or a*b) of a shipped family: m = 100 builds in
-# 2.7-3.6 s at 97 MB on a 2-core x86_64 VM; the d**3 product cube of m = 3000 fills memory.
+# 1.0-1.1 s at 47 MB on a 2-core x86_64 VM; the d**3 product cube of m = 3000 fills memory.
 MAX_FAMILY_DIM = 100
 
 
@@ -62,6 +63,37 @@ def _monomial_label(exponents: list[tuple[str, int]]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _monomial_family(names, monomials, weights, bracket: str) -> AlgebraSystem:
+    """Q[names] modulo every monomial outside ``monomials`` (closed under division),
+    with a diagonal map per ``weights`` item (name, w), ``bracket`` from the first."""
+    d = len(monomials)
+    index = {u: k for k, u in enumerate(monomials)}
+    zero, one = Fraction(0), Fraction(1)  # shared by every cell
+    cube = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for x, u in enumerate(monomials):
+        for y, v in enumerate(monomials):
+            k = index.get(tuple(i + j for i, j in zip(u, v)))  # e_u * e_v = e_{u+v}, or 0
+            if k is not None:
+                cube[x][y][k] = one
+    product = ProductTensor(d, cube)
+    maps = {name: _diagonal(monomials, w) for name, w in weights.items()}
+    return AlgebraSystem(
+        d,
+        product,
+        brackets={bracket: derivation_bracket(product, next(iter(maps.values())))},
+        derivations=maps,
+        basis_labels=[_monomial_label(list(zip(names, u))) for u in monomials],
+    )
+
+
+def _diagonal(monomials, weights) -> DerivationMatrix:
+    # D(e_u) = (w.u) e_u, the derivation sum_i w_i x_i d/dx_i of a monomial quotient.
+    rows = [[Fraction(0)] * len(monomials) for _ in monomials]
+    for k, u in enumerate(monomials):
+        rows[k][k] = sum(w * e for w, e in zip(weights, u))
+    return DerivationMatrix(len(rows), rows)
+
+
 # Typed, so (2, 2.0) misses the key (2, 2) and reaches the InputError.  A binary
 # sweep pass uses 6 + 3 keys (m, then (a, b)), ternary_sweep_corpus 3 + 3.
 @lru_cache(maxsize=8, typed=True)
@@ -72,17 +104,7 @@ def make_truncated_poly(m: int) -> AlgebraSystem:
     "euler" (so [e_i, e_j] = (j - i) e_{i+j}, zero once i + j >= m).
     """
     m = _integer(m, "truncation degree m", 2, MAX_FAMILY_DIM)
-    cube = [[[1 if i + j == k else 0 for k in range(m)] for j in range(m)] for i in range(m)]
-    product = ProductTensor(m, cube)
-    euler = poly_derivation(m, [1])
-    labels = tuple(_monomial_label([("t", k)]) for k in range(m))
-    return AlgebraSystem(
-        m,
-        product,
-        brackets={"b1": derivation_bracket(product, euler)},
-        derivations={"euler": euler},
-        basis_labels=labels,
-    )
+    return _monomial_family(("t",), [(k,) for k in range(m)], {"euler": (1,)}, "b1")
 
 
 def poly_derivation(m: int, coeffs) -> DerivationMatrix:
@@ -131,36 +153,13 @@ def make_tensor_trunc(a: int, b: int) -> AlgebraSystem:
     d2 = t*d/dt, plus the binary bracket "b_d1" bootstrapped from d1.
     For a = b = 2 the basis is (1, s, t, s*t).
     """
-    monomials = _tensor_monomials(a, b)
-    d = len(monomials)
-    index = {m: k for k, m in enumerate(monomials)}
-    cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for u, (i1, j1) in enumerate(monomials):
-        for v, (i2, j2) in enumerate(monomials):
-            w = index.get((i1 + i2, j1 + j2))
-            if w is not None:
-                cube[u][v][w] = Fraction(1)
-    product = ProductTensor(d, cube)
-    d1 = tensor_diagonal_derivation(a, b, 1, 0)
-    d2 = tensor_diagonal_derivation(a, b, 0, 1)
-    return AlgebraSystem(
-        d,
-        product,
-        brackets={"b_d1": derivation_bracket(product, d1)},
-        derivations={"d1": d1, "d2": d2},
-        basis_labels=[_monomial_label([("s", i), ("t", j)]) for i, j in monomials],
-    )
+    weights = {"d1": (1, 0), "d2": (0, 1)}
+    return _monomial_family(("s", "t"), _tensor_monomials(a, b), weights, "b_d1")
 
 
 def tensor_diagonal_derivation(a: int, b: int, alpha, beta) -> DerivationMatrix:
     """alpha*s*d/ds + beta*t*d/dt on the (a, b) tensor truncation (diagonal)."""
-    monomials = _tensor_monomials(a, b)
-    alpha, beta = rat(alpha), rat(beta)
-    d = len(monomials)
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for k, (i, j) in enumerate(monomials):
-        rows[k][k] = alpha * i + beta * j
-    return DerivationMatrix(d, rows)
+    return _diagonal(_tensor_monomials(a, b), (rat(alpha), rat(beta)))
 
 
 def make_zero_bracket_system(product: ProductTensor, arity: int) -> AlgebraSystem:

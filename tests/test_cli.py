@@ -568,16 +568,16 @@ def test_hunt_no_finding(capsys, tmp_path):
     assert not (tmp_path / "f.json").exists()
 
 
-def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatch, tp22):
-    # random search essentially never satisfies the premises, so drive the
-    # reporting path with a fabricated finding and check the 3/0 contract
-    import tpnlie.cli as cli_mod
+@pytest.fixture()
+def fake_finding(tp22):
+    # random search essentially never satisfies the premises, so the reporting
+    # path is driven with a fabricated finding
     from tpnlie import Finding, check_identity, extend_bracket
     from tpnlie.axioms import IdentityId as I
 
     strong = check_identity(I.STRONG, product=tp22.product, bracket=tp22.brackets["b_d1"])
     nl = check_identity(I.NL, bracket=tp22.brackets["b_d1"])
-    fake = Finding(
+    return Finding(
         trial=17,
         seed=99,
         system=tp22,
@@ -588,7 +588,13 @@ def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatc
         premise_reports=(nl,),
         failure_reports=(nl,),
     )
-    monkeypatch.setattr(cli_mod, "hunt_counterexample", lambda *a, **k: fake)
+
+
+def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatch, fake_finding):
+    # the 3/0 contract on a fabricated finding
+    import tpnlie.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "hunt_counterexample", lambda *a, **k: fake_finding)
     out = tmp_path / "finding.json"
     code = main(["hunt", "--dim", "4", "--arity", "3", "--trials", "1", "--seed", "0",
                  "-o", str(out)])
@@ -599,6 +605,37 @@ def test_hunt_finding_exits_three_and_writes_bundle(capsys, tmp_path, monkeypatc
     assert bundle["system"]["dimension"] == 4
     assert bundle["extension"]["arity"] == 3
     assert bundle["premise_reports"][0]["identity"] == "NL"
+
+
+@pytest.mark.parametrize("kind", ["missing parent", "file parent", "directory"])
+def test_hunt_refuses_an_output_it_cannot_write_before_searching(
+    tmp_path, capsys, monkeypatch, fake_finding, kind
+):
+    import tpnlie.cli as cli_mod
+
+    calls = []
+
+    def hunt(*args, **kwargs):
+        calls.append(args)
+        return fake_finding
+
+    monkeypatch.setattr(cli_mod, "hunt_counterexample", hunt)
+    out = {
+        "missing parent": tmp_path / "no" / "such" / "f.json",
+        "file parent": tmp_path / "plain.txt" / "f.json",
+        "directory": tmp_path / "dir",
+    }[kind]
+    (tmp_path / "plain.txt").write_text("")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["hunt", "--dim", "4", "--arity", "3", "--trials", "1", "--seed", "0",
+                 "-o", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: -o ") and captured.err.count("\n") == 1
+    assert "existing directory" in captured.err and captured.out == ""
+    assert calls == []  # refused before the first trial
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
 
 
 @needs_digit_limit

@@ -29,6 +29,7 @@ from tpnlie import (
     random_system,
     run_suite,
     save_finding,
+    tensor_diagonal_derivation,
     ternary_sweep_corpus,
 )
 from tpnlie.files import dumps_system
@@ -292,6 +293,27 @@ def test_corpus_streams_are_pinned():
     for dim, arity, density, seed in iproduct((1, 3, 5), (2, 3), ("0", "1/3", "1"), (0, 9)):
         put(dumps_system(random_system(dim, arity, density, seed)))
     assert digest.hexdigest() == CORPUS_STREAMS_SHA256
+
+
+# The bytes of the shipped families and of their diagonal maps, built fresh
+# (``__wrapped__``, so the bounded caches are left alone): update it only for a
+# deliberate change of a family.
+FAMILY_BYTES_SHA256 = "c18e9662f5c5f19cbb5ee6fcc4f35f888281a26c11dd70fda35bf4370deae5e9"
+
+
+def test_family_bytes_are_pinned():
+    digest = hashlib.sha256()
+
+    def put(text):
+        digest.update(text.encode() + b"\0")
+
+    for m in range(2, 13):
+        put(dumps_system(make_truncated_poly.__wrapped__(m)))
+    for a, b in iproduct(range(2, 6), repeat=2):
+        put(dumps_system(make_tensor_trunc.__wrapped__(a, b)))
+        for alpha, beta in ((1, 0), (0, 1), ("1/2", -3), (-2, "5/3")):
+            put(repr(tensor_diagonal_derivation(a, b, alpha, beta).m))
+    assert digest.hexdigest() == FAMILY_BYTES_SHA256
 
 
 def test_small_draw_is_randint():
